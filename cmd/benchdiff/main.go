@@ -1,28 +1,20 @@
-// benchdiff compares benchmark reports (cmd/benchjson output) in two
-// modes.
-//
-// Single-baseline mode compares one fresh report against a committed
-// baseline and flags wall-clock regressions on the benchmarks that guard
-// the simulator's hot paths — the scenario-scale and sim-kernel
-// benchmarks. It prints one line per compared benchmark and exits non-zero
-// if any regression exceeds the threshold (`make bench-diff`).
-//
-// Trajectory mode (-trend) ingests a whole directory of BENCH_*.json
-// artifacts — one per push, downloaded from CI — orders them by recorded
-// timestamp (then file mtime, then name), and renders a markdown trend
-// table: one row per (benchmark, metric), one column per commit. It tracks
-// ns/op, allocs/op, and any custom benchmark metrics named with -track
-// (e.g. GP_ckpt_s from BenchmarkFig06), and flags the latest report when a
-// tracked metric drifted up by more than -tolerance versus the previous
-// one. The -match filter applies to the ns/op and allocs/op rows only;
-// custom -track metrics are followed on every benchmark reporting them,
-// since naming one is already an opt-in. CI posts the table to the job summary (`make bench-trend`); see
-// EXPERIMENTS.md.
+// benchdiff renders the benchmark trajectory: it ingests a whole
+// directory of BENCH_*.json reports (cmd/benchjson output, one per
+// commit), orders them by recorded timestamp (then file mtime, then name),
+// and renders a markdown trend table: one row per (benchmark, metric), one
+// column per commit. It tracks ns/op, allocs/op, and any custom benchmark
+// metrics named with -track (e.g. GP_ckpt_s from BenchmarkFig06), and
+// flags the latest report when a tracked metric drifted up by more than
+// -tolerance versus the previous one, or when a -match benchmark present
+// in the previous report is missing from the latest. The -match filter
+// applies to the ns/op and allocs/op rows only; custom -track metrics are
+// followed on every benchmark reporting them, since naming one is already
+// an opt-in. CI posts the table to the job summary (`make bench-trend`);
+// see EXPERIMENTS.md.
 //
 // Usage:
 //
-//	benchdiff -baseline bench-baseline.json -current BENCH_abc123.json
-//	benchdiff -baseline old.json -current new.json -threshold 0.5 -match '.*'
+//	benchdiff -trend .
 //	benchdiff -trend artifacts/ -tolerance 0.25 -track GP_ckpt_s
 package main
 
@@ -56,88 +48,21 @@ const defaultMatch = `^Benchmark(Scenario|Kernel|EventHeap|SendPath)`
 
 func main() {
 	var (
-		baseline  = flag.String("baseline", "bench-baseline.json", "committed baseline report")
-		current   = flag.String("current", "", "fresh report to compare (required unless -trend)")
-		threshold = flag.Float64("threshold", 0.20, "flag regressions above this fraction (0.20 = +20% ns/op)")
-		match     = flag.String("match", defaultMatch, "regexp selecting benchmark names to compare")
-		trend     = flag.String("trend", "", "trajectory mode: directory of BENCH_*.json reports to render as a markdown trend table")
-		tolerance = flag.Float64("tolerance", 0.20, "trend mode: flag a tracked metric drifting up by more than this fraction vs the previous report")
-		track     = flag.String("track", "GP_ckpt_s", "trend mode: comma-separated custom benchmark metrics to track besides ns/op and allocs/op")
+		match     = flag.String("match", defaultMatch, "regexp selecting the benchmarks whose ns/op and allocs/op are tracked")
+		trend     = flag.String("trend", "", "directory of BENCH_*.json reports to render as a markdown trend table (required)")
+		tolerance = flag.Float64("tolerance", 0.20, "flag a tracked metric drifting up by more than this fraction vs the previous report")
+		track     = flag.String("track", "GP_ckpt_s", "comma-separated custom benchmark metrics to track besides ns/op and allocs/op")
 	)
 	flag.Parse()
+	if *trend == "" {
+		fmt.Fprintln(os.Stderr, "benchdiff: -trend DIR is required")
+		os.Exit(2)
+	}
 	re, err := regexp.Compile(*match)
 	if err != nil {
 		fatal(err)
 	}
-	if *trend != "" {
-		os.Exit(runTrend(*trend, re, *tolerance, *track))
-	}
-	if *current == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -current is required (or use -trend DIR)")
-		os.Exit(2)
-	}
-	base, err := load(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := load(*current)
-	if err != nil {
-		fatal(err)
-	}
-
-	baseBy := map[string]Benchmark{}
-	for _, b := range base.Benchmarks {
-		baseBy[b.Pkg+"/"+b.Name] = b
-	}
-
-	curBy := map[string]bool{}
-	for _, b := range cur.Benchmarks {
-		curBy[b.Pkg+"/"+b.Name] = true
-	}
-
-	regressions := 0
-	compared := 0
-	// Guarded benchmarks that vanished from the fresh report are lost
-	// coverage, not a pass — flag them like regressions.
-	for _, b := range base.Benchmarks {
-		if re.MatchString(b.Name) && !curBy[b.Pkg+"/"+b.Name] {
-			fmt.Printf("GONE  %-50s %14.0f ns/op in baseline, absent from current report\n",
-				b.Name, b.NsPerOp)
-			regressions++
-		}
-	}
-	for _, b := range cur.Benchmarks {
-		if !re.MatchString(b.Name) {
-			continue
-		}
-		old, ok := baseBy[b.Pkg+"/"+b.Name]
-		if !ok || old.NsPerOp <= 0 || b.NsPerOp <= 0 {
-			fmt.Printf("NEW   %-50s %14.0f ns/op (no baseline)\n", b.Name, b.NsPerOp)
-			continue
-		}
-		compared++
-		delta := b.NsPerOp/old.NsPerOp - 1
-		tag := "ok   "
-		if delta > *threshold {
-			tag = "SLOW "
-			regressions++
-		} else if delta < -*threshold {
-			tag = "fast "
-		}
-		fmt.Printf("%s %-50s %14.0f -> %14.0f ns/op  %+6.1f%%\n",
-			tag, b.Name, old.NsPerOp, b.NsPerOp, delta*100)
-	}
-	if compared == 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: no benchmarks matched %q in both reports\n", *match)
-		os.Exit(2)
-	}
-	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed more than %.0f%% or went missing vs %s (commit %s)\n",
-			regressions, *threshold*100, *baseline, base.Commit)
-		os.Exit(1)
-	}
-	fmt.Printf("benchdiff: %d benchmark(s) within %.0f%% of baseline (commit %s)\n",
-		compared, *threshold*100, base.Commit)
+	os.Exit(runTrend(*trend, re, *tolerance, *track))
 }
 
 func load(path string) (*Report, error) {

@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"os/exec"
-	"strings"
 	"testing"
 )
 
@@ -29,88 +28,5 @@ func write(t *testing.T, path, content string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-const baseJSON = `{"commit": "aaa", "benchmarks": [
-	{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1000000},
-	{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200},
-	{"pkg": "repro", "name": "BenchmarkFig01CoordinationCost", "runs": 1, "nsPerOp": 5}
-]}`
-
-func TestWithinThresholdExitsZero(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir+"/base.json", baseJSON)
-	write(t, dir+"/cur.json", `{"commit": "bbb", "benchmarks": [
-		{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1100000},
-		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 190}
-	]}`)
-	out, err := runCLI(t, "-baseline", dir+"/base.json", "-current", dir+"/cur.json")
-	if err != nil {
-		t.Fatalf("within-threshold diff exited non-zero: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "within 20%") {
-		t.Errorf("no summary line:\n%s", out)
-	}
-}
-
-func TestRegressionExitsNonZero(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir+"/base.json", baseJSON)
-	write(t, dir+"/cur.json", `{"commit": "bbb", "benchmarks": [
-		{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1300000}
-	]}`)
-	out, err := runCLI(t, "-baseline", dir+"/base.json", "-current", dir+"/cur.json")
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("+30%% regression did not exit 1 (err=%v):\n%s", err, out)
-	}
-	if !strings.Contains(out, "SLOW") || !strings.Contains(out, "BenchmarkScenario4096") {
-		t.Errorf("regression not flagged:\n%s", out)
-	}
-}
-
-func TestFigureBenchmarksIgnoredByDefault(t *testing.T) {
-	// End-to-end figure regenerations are deliberately outside the default
-	// filter: their wall clock is dominated by experiment size, not the
-	// kernel hot path, and they run at -benchtime=1x in CI.
-	dir := t.TempDir()
-	write(t, dir+"/base.json", baseJSON)
-	write(t, dir+"/cur.json", `{"commit": "bbb", "benchmarks": [
-		{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1000000},
-		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200},
-		{"pkg": "repro", "name": "BenchmarkFig01CoordinationCost", "runs": 1, "nsPerOp": 500}
-	]}`)
-	out, err := runCLI(t, "-baseline", dir+"/base.json", "-current", dir+"/cur.json")
-	if err != nil {
-		t.Fatalf("figure 100x slowdown must not fail the default filter: %v\n%s", err, out)
-	}
-	if strings.Contains(out, "Fig01") {
-		t.Errorf("figure benchmark compared despite filter:\n%s", out)
-	}
-}
-
-func TestMissingCurrentExitsUsage(t *testing.T) {
-	out, err := runCLI(t)
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("missing -current did not exit 2 (err=%v):\n%s", err, out)
-	}
-}
-
-func TestMissingGuardedBenchmarkFlagged(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir+"/base.json", baseJSON)
-	// BenchmarkScenario4096 vanished from the fresh report entirely.
-	write(t, dir+"/cur.json", `{"commit": "bbb", "benchmarks": [
-		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200}
-	]}`)
-	out, err := runCLI(t, "-baseline", dir+"/base.json", "-current", dir+"/cur.json")
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("missing guarded benchmark did not exit 1 (err=%v):\n%s", err, out)
-	}
-	if !strings.Contains(out, "GONE") || !strings.Contains(out, "BenchmarkScenario4096") {
-		t.Errorf("missing benchmark not flagged:\n%s", out)
 	}
 }

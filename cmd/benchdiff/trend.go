@@ -56,7 +56,7 @@ func runTrend(dir string, match *regexp.Regexp, tolerance float64, track string)
 	}
 	writeTrendTable(os.Stdout, reports, rows, tolerance, breaches)
 	if breaches > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) drifted up more than %.0f%% in the latest report\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) drifted up more than %.0f%% or went missing in the latest report\n",
 			breaches, tolerance*100)
 		return 1
 	}
@@ -115,16 +115,20 @@ func metricValue(b Benchmark, metric string) (float64, bool) {
 // trendRow is one (benchmark, metric) series across the ordered reports.
 type trendRow struct {
 	bench, metric string
+	matched       bool      // the benchmark passes -match
 	vals          []float64 // parallel to reports; NaN = absent
 	present       []bool
 	delta         float64 // latest vs previous present value
 	hasDelta      bool
+	gone          bool // matched, in the previous report, missing from the latest
 	breach        bool
 }
 
 // trendRows assembles the table rows: every (benchmark, metric) series
 // present in at least two reports, in sorted order, with the latest-step
-// drift computed and checked against tolerance. The -match filter governs
+// drift computed and checked against tolerance. A -match series present in
+// the previous report and missing from the latest is lost coverage, not a
+// pass: it is shown and counted as a breach. The -match filter governs
 // the ns/op and allocs/op rows only; a custom -track metric is an explicit
 // opt-in and is followed wherever it appears — GP_ckpt_s lives on the
 // figure benchmarks, which the default filter excludes by name.
@@ -153,7 +157,7 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 				row := series[k]
 				if row == nil {
 					row = &trendRow{
-						bench: name, metric: metric,
+						bench: name, metric: metric, matched: matched,
 						vals:    make([]float64, len(reports)),
 						present: make([]bool, len(reports)),
 					}
@@ -164,6 +168,7 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 			}
 		}
 	}
+	last := len(reports) - 1
 	for _, row := range series {
 		n := 0
 		for _, p := range row.present {
@@ -171,13 +176,20 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 				n++
 			}
 		}
-		if n < 2 || !row.present[len(row.present)-1] {
-			if n >= 2 {
+		if !row.present[last] {
+			switch {
+			case row.matched && row.present[last-1]:
+				row.gone, row.breach = true, true
+				breaches++
+				rows = append(rows, row)
+			case n >= 2:
 				rows = append(rows, row) // history but absent now: still shown
 			}
 			continue
 		}
-		last := len(row.present) - 1
+		if n < 2 {
+			continue
+		}
 		prev := -1
 		for i := last - 1; i >= 0; i-- {
 			if row.present[i] {
@@ -228,6 +240,8 @@ func writeTrendTable(w *os.File, reports []*trendReport, rows []*trendRow, toler
 			}
 		}
 		switch {
+		case row.gone:
+			fmt.Fprint(w, " **⚠ gone** |\n")
 		case row.breach:
 			fmt.Fprintf(w, " **⚠ %+.1f%%** |\n", row.delta*100)
 		case row.hasDelta:
@@ -238,7 +252,7 @@ func writeTrendTable(w *os.File, reports []*trendReport, rows []*trendRow, toler
 	}
 	fmt.Fprintln(w)
 	if breaches > 0 {
-		fmt.Fprintf(w, "**%d metric(s) breached the %.0f%% tolerance in the latest report.**\n", breaches, tolerance*100)
+		fmt.Fprintf(w, "**%d metric(s) breached the %.0f%% tolerance or went missing in the latest report.**\n", breaches, tolerance*100)
 	} else {
 		fmt.Fprintf(w, "All tracked metrics within %.0f%% of the previous report.\n", tolerance*100)
 	}

@@ -170,3 +170,85 @@ func TestTrendGapsRendered(t *testing.T) {
 		t.Errorf("gap cell not rendered:\n%s", out)
 	}
 }
+
+// guardedJSON is a report carrying two benchmarks the default -match
+// guards plus one figure benchmark it excludes.
+const guardedJSON = `{"commit": "aaa", "when": "2026-08-01T10:00:00Z", "benchmarks": [
+	{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1000000},
+	{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200},
+	{"pkg": "repro", "name": "BenchmarkFig01CoordinationCost", "runs": 1, "nsPerOp": 5}
+]}`
+
+// TestRegressionExitsNonZero: under the default -match, a guarded scenario
+// benchmark slowing down 30% is a breach.
+func TestRegressionExitsNonZero(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir+"/BENCH_aaa.json", guardedJSON)
+	write(t, dir+"/BENCH_bbb.json", `{"commit": "bbb", "when": "2026-08-02T10:00:00Z", "benchmarks": [
+		{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1300000},
+		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200},
+		{"pkg": "repro", "name": "BenchmarkFig01CoordinationCost", "runs": 1, "nsPerOp": 5}
+	]}`)
+	out, err := runCLI(t, "-trend", dir)
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("+30%% regression did not exit 1 (err=%v):\n%s", err, out)
+	}
+	if !strings.Contains(out, "BenchmarkScenario4096 | ns/op") || !strings.Contains(out, "⚠ +30.0%") {
+		t.Errorf("regression not flagged:\n%s", out)
+	}
+}
+
+// TestFigureBenchmarksIgnoredByDefault: end-to-end figure regenerations
+// are outside the default filter: their wall clock is dominated by
+// experiment size, not the kernel hot path, and they run at -benchtime=1x
+// in CI.
+func TestFigureBenchmarksIgnoredByDefault(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir+"/BENCH_aaa.json", guardedJSON)
+	write(t, dir+"/BENCH_bbb.json", `{"commit": "bbb", "when": "2026-08-02T10:00:00Z", "benchmarks": [
+		{"pkg": "repro/internal/scenario", "name": "BenchmarkScenario4096", "runs": 1, "nsPerOp": 1000000},
+		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200},
+		{"pkg": "repro", "name": "BenchmarkFig01CoordinationCost", "runs": 1, "nsPerOp": 500}
+	]}`)
+	out, err := runCLI(t, "-trend", dir)
+	if err != nil {
+		t.Fatalf("figure 100x slowdown must not fail the default filter: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "Fig01") {
+		t.Errorf("figure benchmark tracked despite filter:\n%s", out)
+	}
+}
+
+// TestMissingGuardedBenchmarkFlagged: a guarded benchmark present in the
+// previous report and missing from the latest is lost coverage, not a
+// pass — it is shown and counted as a breach.
+func TestMissingGuardedBenchmarkFlagged(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir+"/BENCH_aaa.json", guardedJSON)
+	// BenchmarkScenario4096 vanished from the fresh report entirely.
+	write(t, dir+"/BENCH_bbb.json", `{"commit": "bbb", "when": "2026-08-02T10:00:00Z", "benchmarks": [
+		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 200}
+	]}`)
+	out, err := runCLI(t, "-trend", dir)
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("missing guarded benchmark did not exit 1 (err=%v):\n%s", err, out)
+	}
+	if !strings.Contains(out, "| scenario:BenchmarkScenario4096 | ns/op | 1000000 | – | **⚠ gone** |") {
+		t.Errorf("missing benchmark not flagged:\n%s", out)
+	}
+	if strings.Contains(out, "Fig01") {
+		t.Errorf("unguarded figure benchmark flagged as missing:\n%s", out)
+	}
+}
+
+// TestMissingTrendExitsUsage: with no report directory there is nothing
+// to compare.
+func TestMissingTrendExitsUsage(t *testing.T) {
+	out, err := runCLI(t)
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Fatalf("missing -trend did not exit 2 (err=%v):\n%s", err, out)
+	}
+}

@@ -76,7 +76,7 @@ func serve(addr, addrFile string, drain time.Duration, opts gbd.Options) error {
 			return err
 		}
 	}
-	httpSrv := &http.Server{Handler: s}
+	httpSrv := newHTTPServer(s)
 	log.Printf("gbd: serving v1 API on http://%s", ln.Addr())
 
 	errc := make(chan error, 1)
@@ -105,6 +105,26 @@ func serve(addr, addrFile string, drain time.Duration, opts gbd.Options) error {
 	}
 	log.Printf("gbd: drained, %d cells cached, tenants %v", s.CachedCells(), s.Tenants())
 	return nil
+}
+
+// Connection timeouts. They bound how long a slow or idle client can hold a
+// connection; requests are small JSON bodies (at most 1 MiB). There is no
+// write timeout: SSE sweeps and tune streams legitimately run for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // postSweep is the client mode: stream an SSE sweep and print its cells

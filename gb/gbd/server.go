@@ -13,6 +13,8 @@ import (
 
 	"repro/gb"
 	"repro/internal/metrics"
+	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
 // TenantHeader names the request header that identifies a client for
@@ -54,7 +56,7 @@ type Server struct {
 	col      *metrics.Collector
 	pool     *pool
 	poolSize int
-	cache    *cache
+	cells    runner.Memo[[]byte] // determinism cache: cell key -> wire bytes
 	mux      *http.ServeMux
 
 	// baseCtx is canceled by Abort; every request context is its child.
@@ -68,8 +70,9 @@ type Server struct {
 	tenantMu sync.Mutex
 	tenants  map[string]bool
 
-	canceled  *metrics.Counter
-	drainingG *metrics.Gauge
+	canceled     *metrics.Counter
+	hits, misses *metrics.Counter
+	drainingG    *metrics.Gauge
 }
 
 // NewServer builds a ready-to-serve Server. Callers own its lifecycle:
@@ -93,14 +96,13 @@ func NewServer(opts Options) *Server {
 	}
 	queued := col.Gauge("gbd_queue_depth", "cells", "cells queued across all tenants, not yet running")
 	active := col.Gauge("gbd_active_cells", "cells", "cells executing right now")
-	hits := col.Counter("gbd_cache_hits_total", "cells", "cells served from the determinism cache")
-	misses := col.Counter("gbd_cache_misses_total", "cells", "cells computed because the cache had no entry")
+	s.hits = col.Counter("gbd_cache_hits_total", "cells", "cells served from the determinism cache")
+	s.misses = col.Counter("gbd_cache_misses_total", "cells", "cells computed because the cache had no entry")
 	s.poolSize = opts.Workers
 	if s.poolSize <= 0 {
 		s.poolSize = runtime.GOMAXPROCS(0)
 	}
 	s.pool = newPool(s.poolSize, queued, active)
-	s.cache = newCache(hits, misses)
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
 
 	s.mux = http.NewServeMux()
@@ -307,7 +309,8 @@ func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, er
 	for i, c := range req.cells {
 		i, c := i, c
 		err := s.pool.Submit(tenant, func() {
-			b, hit, err := s.cache.get(ctx, cellCacheKey(req.key, req.horizonS, c), func() ([]byte, error) {
+			b, hit, err := s.cells.Get(ctx, cellCacheKey(req.key, req.horizonS, c), func() ([]byte, error) {
+				s.misses.Inc()
 				var opts []gb.Option
 				if req.horizonS > 0 {
 					opts = append(opts, gb.WithHorizon(gb.Seconds(req.horizonS)))
@@ -319,8 +322,11 @@ func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, er
 				if err != nil {
 					return nil, err
 				}
-				return renderCell(c, res)
+				return marshalWire(scenario.Summarize(c, res))
 			})
+			if hit {
+				s.hits.Inc()
+			}
 			ch <- cellOut{idx: i, bytes: b, hit: hit, err: err}
 		})
 		if err != nil {
@@ -503,7 +509,7 @@ func (s *Server) Tenants() []string {
 }
 
 // CachedCells reports how many cell entries the determinism cache holds.
-func (s *Server) CachedCells() int { return s.cache.len() }
+func (s *Server) CachedCells() int { return s.cells.Len() }
 
 // Close drains gracefully: new requests are rejected with 503, in-flight
 // requests run to completion, then the worker pool shuts down. Safe to

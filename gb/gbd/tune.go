@@ -75,7 +75,7 @@ func (s *Server) decodeTune(r *http.Request) (*tuneRequest, error) {
 // unbounded): substituting the daemon's default would fork the search away
 // from what the same spec computes in-process, breaking report parity.
 func (s *Server) tuneRunner() tune.Runner {
-	return func(ctx context.Context, ev tune.Eval) ([]tune.CellMeasure, error) {
+	return func(ctx context.Context, ev tune.Eval) ([]WireCell, error) {
 		specKey, err := gb.SpecKey(ev.Spec)
 		if err != nil {
 			return nil, err
@@ -95,19 +95,13 @@ func (s *Server) tuneRunner() tune.Runner {
 		if err != nil {
 			return nil, err
 		}
-		measures := make([]tune.CellMeasure, len(out))
+		summaries := make([]WireCell, len(out))
 		for i, b := range out {
-			var wc WireCell
-			if err := json.Unmarshal(b, &wc); err != nil {
+			if err := json.Unmarshal(b, &summaries[i]); err != nil {
 				return nil, fmt.Errorf("gbd: tune cell %d: %w", i, err)
 			}
-			measures[i] = tune.CellMeasure{ExecS: wc.ExecSeconds}
-			if wc.Failures != nil {
-				measures[i].LostGroupS = wc.Failures.LostGroupSeconds
-				measures[i].LostGlobalS = wc.Failures.LostGlobalSeconds
-			}
 		}
-		return measures, nil
+		return summaries, nil
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/gb"
+	"repro/internal/scenario"
 	"repro/internal/tune"
 )
 
@@ -198,5 +199,85 @@ func TestTuneDrainRejects(t *testing.T) {
 	body := readAll(t, resp)
 	if resp.StatusCode != 503 {
 		t.Fatalf("status = %d, want 503 (body %s)", resp.StatusCode, body)
+	}
+}
+
+// armedQuietSpec arms a failure process whose MTBF dwarfs the run, so the
+// cell injects no failures.
+const armedQuietSpec = `{
+	"name": "gbd-quiet",
+	"workload": {"kind": "synthetic", "iters": 6, "imageMB": 1},
+	"scales": [4],
+	"modes": ["GP1"],
+	"checkpoint": {"intervalS": 2},
+	"failures": {"process": "poisson", "mtbfS": 1e9},
+	"reps": 1
+}`
+
+// TestArmedFailuresNoneInjected: a cell whose armed failure process fires
+// nothing has no failures block on the wire, zeros in the scenario table's
+// failure columns, and a zero score under the tuner's "lost" objective.
+func TestArmedFailuresNoneInjected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	resp := post(t, ts.URL+"/v1/runs", sweepBody(armedQuietSpec), nil)
+	body := readAll(t, resp)
+	if resp.StatusCode != 200 {
+		t.Fatalf("run status = %d (body %s)", resp.StatusCode, body)
+	}
+	var rr RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(rr.Cell, []byte(`"failures"`)) {
+		t.Errorf("wire cell carries a failures block for zero injected failures: %s", rr.Cell)
+	}
+
+	sc, err := scenario.Parse(strings.NewReader(armedQuietSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := sc.Run(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 1 {
+		t.Fatalf("table has %d rows, want 1:\n%s", len(tbl.Rows), tbl)
+	}
+	failCols := 0
+	for i, col := range tbl.Columns {
+		switch col {
+		case "fails", "lost_group_s", "lost_global_s", "saved_s", "replay_KB":
+			failCols++
+			if got := tbl.Rows[0][i]; got != "0.00" {
+				t.Errorf("table column %s = %q, want 0.00", col, got)
+			}
+		}
+	}
+	if failCols != 5 {
+		t.Fatalf("table has %d failure columns, want 5 (process armed):\n%s", failCols, tbl)
+	}
+
+	tuneSpec := fmt.Sprintf(`{
+		"scenario": %s,
+		"objective": "lost",
+		"modes": ["GP1", "NORM"],
+		"intervalsS": [2],
+		"rungs": [{"scale": 4}]
+	}`, armedQuietSpec)
+	resp = post(t, ts.URL+"/v1/tune", tuneBody(tuneSpec), nil)
+	body = readAll(t, resp)
+	if resp.StatusCode != 200 {
+		t.Fatalf("tune status = %d (body %s)", resp.StatusCode, body)
+	}
+	var tr TuneResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	var rep tune.Report
+	if err := json.Unmarshal(tr.Report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Score != 0 {
+		t.Errorf("tune score = %v under the lost objective, want 0", rep.Score)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"repro/internal/ckpt"
-	"repro/internal/failure"
 	"repro/internal/jobs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/tune"
 )
@@ -96,10 +96,10 @@ func Tune(ctx context.Context, ts *TuneSpec, opts ...Option) (*TuneReport, error
 // tuneRunner backs the search with RunCell: one eval is the derived
 // scenario's whole (single-candidate) matrix, run serially in matrix order
 // — the search parallelizes across evals, so rep-level serialism costs
-// nothing and keeps the measure order spec-defined.
+// nothing and keeps the summary order spec-defined.
 func (c *config) tuneRunner() tune.Runner {
 	runWorkers := c.runWorkers
-	return func(ctx context.Context, ev tune.Eval) ([]tune.CellMeasure, error) {
+	return func(ctx context.Context, ev tune.Eval) ([]scenario.CellSummary, error) {
 		cells, err := ScenarioCells(ev.Spec)
 		if err != nil {
 			return nil, err
@@ -111,29 +111,16 @@ func (c *config) tuneRunner() tune.Runner {
 		if runWorkers > 0 {
 			opts = append(opts, WithRunWorkers(runWorkers))
 		}
-		out := make([]tune.CellMeasure, 0, len(cells))
+		out := make([]scenario.CellSummary, 0, len(cells))
 		for _, cell := range cells {
 			res, err := RunCell(ctx, ev.Spec, cell, opts...)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, tuneMeasure(res))
+			out = append(out, scenario.Summarize(cell, res))
 		}
 		return out, nil
 	}
-}
-
-// tuneMeasure extracts the searchable figures from one cell result — the
-// same fields, computed the same way, as the gbd wire cell, so in-process
-// and service-backed searches of one spec score identically.
-func tuneMeasure(res *Result) tune.CellMeasure {
-	m := tune.CellMeasure{ExecS: res.ExecTime.Seconds()}
-	if len(res.Failures) > 0 {
-		t := failure.Sum(res.Failures)
-		m.LostGroupS = t.WorkLossGrp.Seconds()
-		m.LostGlobalS = t.WorkLossGlb.Seconds()
-	}
-	return m
 }
 
 // YoungInterval is Young's first-order optimal checkpoint interval

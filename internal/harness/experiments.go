@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -318,7 +317,7 @@ type hplSuiteResult struct {
 var hplSuiteCache runner.Memo[*hplSuiteResult]
 
 func hplSuite(ctx context.Context, o Options) (*hplSuiteResult, error) {
-	s, err := hplSuiteCache.Get(o.key(), func() (*hplSuiteResult, error) {
+	s, _, err := hplSuiteCache.Get(ctx, o.key(), func() (*hplSuiteResult, error) {
 		nProb, ckptAt := o.hplConfig()
 		suite := &hplSuiteResult{
 			scales: o.scales([]int{16, 32, 48, 64, 80, 96, 112, 128}, []int{16, 32}),
@@ -355,11 +354,7 @@ func hplSuite(ctx context.Context, o Options) (*hplSuiteResult, error) {
 		suite.runs = groupByScale(keys, runs)
 		return suite, nil
 	})
-	if err != nil && errors.Is(err, ErrCanceled) {
-		// A canceled build must not poison the cache for later callers.
-		hplSuiteCache.Forget(o.key())
-	}
-	return s, err
+	return s, NormalizeCancel(err)
 }
 
 func (s *hplSuiteResult) metricTable(title, unit string, f func(hplRun) float64) *stats.Table {
@@ -722,7 +717,7 @@ type vclPair struct {
 // runs of a cell are dependent (GP's schedule derives from VCL's outcome),
 // so each cell runs them back to back; cells fan out across workers.
 func cgRemoteSuite(ctx context.Context, o Options) (*vclSuiteResult, error) {
-	s, err := vclSuiteCache.Get(o.key(), func() (*vclSuiteResult, error) {
+	s, _, err := vclSuiteCache.Get(ctx, o.key(), func() (*vclSuiteResult, error) {
 		suite := &vclSuiteResult{
 			scales: o.scales([]int{16, 32, 64, 128}, []int{16, 32}),
 			vcl:    map[int][]*Result{},
@@ -782,10 +777,7 @@ func cgRemoteSuite(ctx context.Context, o Options) (*vclSuiteResult, error) {
 		}
 		return suite, nil
 	})
-	if err != nil && errors.Is(err, ErrCanceled) {
-		vclSuiteCache.Forget(o.key())
-	}
-	return s, err
+	return s, NormalizeCancel(err)
 }
 
 // Fig13 reports execution time and checkpoint counts for GP vs VCL with

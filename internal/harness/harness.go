@@ -488,10 +488,9 @@ var formationCache runner.Memo[group.Formation]
 // configurations trace in parallel.
 //
 // The pass honors ctx: the tracing kernel is interruptible like the
-// measured run's. A shared in-flight build canceled by one caller can fail
-// a concurrent waiter with ErrCanceled even though the waiter's own ctx is
-// live — the canceled entry is dropped from the cache, so a retry rebuilds
-// it.
+// measured run's. A pass canceled by its caller is not cached: a concurrent
+// waiter whose own ctx is live rebuilds it rather than inheriting the
+// cancellation, and a waiter whose ctx ends stops waiting with ErrCanceled.
 func tracedFormation(ctx context.Context, spec Spec) (group.Formation, error) {
 	n := spec.WL.Procs()
 	max := spec.GroupMax
@@ -503,7 +502,7 @@ func tracedFormation(ctx context.Context, spec Spec) (group.Formation, error) {
 	// skeleton's knobs) and the cluster calibration — scenario specs can
 	// vary both, and two configurations must never share a formation.
 	key := fmt.Sprintf("%s/n%d/G%d/%+v", spec.WL.Name(), n, max, zeroIsGideon(spec.Cluster))
-	f, err := formationCache.Get(key, func() (group.Formation, error) {
+	f, _, err := formationCache.Get(ctx, key, func() (group.Formation, error) {
 		cfg := zeroIsGideon(spec.Cluster)
 		cfg.JitterFrac = 0
 		cfg.DaemonEvery = 0
@@ -526,11 +525,7 @@ func tracedFormation(ctx context.Context, spec Spec) (group.Formation, error) {
 		}
 		return f, nil
 	})
-	if err != nil && errors.Is(err, ErrCanceled) {
-		// A canceled pass must not poison the cache for later callers.
-		formationCache.Forget(key)
-	}
-	return f, err
+	return f, NormalizeCancel(err)
 }
 
 // AggregateCoordination sums per-rank checkpoint durations excluding the

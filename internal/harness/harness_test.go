@@ -2,11 +2,15 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/group"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -62,6 +66,85 @@ func TestFormationCacheHit(t *testing.T) {
 	}
 	if f1.String() != f2.String() {
 		t.Error("cache returned a different formation")
+	}
+}
+
+// gatedWorkload is a synthetic workload whose first tracing pass announces
+// itself on started, holds rank 0 until a concurrent caller is waiting on
+// the same formation, then cancels that pass from inside it.
+type gatedWorkload struct {
+	*workload.Synthetic
+	gate    sync.Once
+	started chan struct{}
+	waiting <-chan struct{}
+	cancel  context.CancelFunc
+}
+
+func (w *gatedWorkload) Name() string { return "gated-" + w.Synthetic.Name() }
+
+func (w *gatedWorkload) Body(r *mpi.Rank) {
+	if r.ID == 0 {
+		w.gate.Do(func() {
+			close(w.started)
+			// The timeout only bounds a memo that never reports the
+			// waiter as waiting; the cancel still lands mid-pass.
+			select {
+			case <-w.waiting:
+			case <-time.After(2 * time.Second):
+			}
+			w.cancel()
+			for !r.W.K.Interrupted() { // the pass must see the cancel
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	w.Synthetic.Body(r)
+}
+
+// waitCtx is a live context that reports when a formation lookup starts
+// waiting on another caller's tracing pass (the first Done call).
+type waitCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestTracedFormationWaiterSurvivesBuilderCancel: when the caller running a
+// shared tracing pass is canceled, a concurrent caller waiting on the same
+// formation with a live context still gets the formation, not ErrCanceled.
+func TestTracedFormationWaiterSurvivesBuilderCancel(t *testing.T) {
+	formationCache.Reset() // the builder must trace, not find a stored pass
+	bctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wctx := &waitCtx{Context: context.Background(), waiting: make(chan struct{})}
+	wl := &gatedWorkload{Synthetic: workload.NewSynthetic(8, 40),
+		started: make(chan struct{}), waiting: wctx.waiting, cancel: cancel}
+	spec := Spec{WL: wl, Mode: GP, Seed: 1}
+
+	builderErr := make(chan error, 1)
+	go func() {
+		_, err := tracedFormation(bctx, spec)
+		builderErr <- err
+	}()
+	select {
+	case <-wl.started: // the builder's pass is in flight: the waiter joins it
+	case err := <-builderErr:
+		t.Fatalf("builder finished without tracing: %v", err)
+	}
+	f, err := tracedFormation(wctx, spec)
+	if err != nil {
+		t.Fatalf("waiter with a live context: %v", err)
+	}
+	if err := f.Validate(); err != nil || len(f.Groups) <= 1 {
+		t.Fatalf("waiter formation %v (validate: %v), want multiple valid groups", f.Groups, err)
+	}
+	if err := <-builderErr; !errors.Is(err, ErrCanceled) {
+		t.Fatalf("builder: %v, want ErrCanceled", err)
 	}
 }
 

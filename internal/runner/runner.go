@@ -9,6 +9,9 @@
 // Map guarantees results[i] corresponds to keys[i] no matter which worker
 // executed it or in what order workers finished. Parallel output is
 // therefore byte-identical to serial output.
+//
+// Memo is the one singleflight memoization table for results shared
+// across runs: the harness's tracing passes and suites, and gbd's cells.
 package runner
 
 import (
@@ -179,45 +182,68 @@ func Each[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, e
 	return out
 }
 
-// Memo is a concurrency-safe memoization table keyed by string, used for the
-// harness's expensive shared artifacts (tracing passes, experiment suites).
-// Concurrent callers of Get with the same key block until the single build
-// completes and then share its result; callers with different keys build
-// concurrently. Results — including errors — stay cached until Reset.
+// Memo is a concurrency-safe singleflight memoization table keyed by
+// string: the harness's tracing passes and experiment suites, and gbd's
+// rendered cells. The first caller of a key builds it; concurrent callers
+// join that build; later callers get the stored result. Callers with
+// different keys build concurrently.
+//
+// Results are deterministic functions of their key, so errors are cached
+// like values until Reset. The one exception is a build that fails after
+// its caller's ctx has ended: that failure says nothing about the key, so
+// its entry is dropped and waiters with live contexts retry, one of them
+// rebuilding under its own ctx.
 type Memo[T any] struct {
 	mu sync.Mutex
 	m  map[string]*memoEntry[T]
 }
 
+// memoEntry is one key's build; closed done publishes val/err.
 type memoEntry[T any] struct {
-	once sync.Once
-	val  T
-	err  error
+	done    chan struct{}
+	val     T
+	err     error
+	dropped bool // the build ended with its caller's ctx; waiters retry
 }
 
-// Get returns the cached value for key, building it with build on first use.
-func (c *Memo[T]) Get(key string, build func() (T, error)) (T, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[string]*memoEntry[T]{}
+// Get returns the value for key, building it with build on first use.
+// build runs on the calling goroutine and should observe ctx through its
+// closure. hit reports that the result came from a stored entry or a
+// joined in-flight build. A caller whose ctx ends while it waits on
+// another caller's build returns ctx.Err() at once; the build continues.
+func (c *Memo[T]) Get(ctx context.Context, key string, build func() (T, error)) (val T, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		e := c.m[key]
+		if e == nil {
+			if c.m == nil {
+				c.m = map[string]*memoEntry[T]{}
+			}
+			e = &memoEntry[T]{done: make(chan struct{})}
+			c.m[key] = e
+			c.mu.Unlock()
+			e.val, e.err = build()
+			if e.err != nil && ctx.Err() != nil {
+				e.dropped = true
+				c.mu.Lock()
+				if c.m[key] == e { // Reset may have started a new generation
+					delete(c.m, key)
+				}
+				c.mu.Unlock()
+			}
+			close(e.done)
+			return e.val, false, e.err
+		}
+		c.mu.Unlock()
+		select {
+		case <-e.done:
+			if !e.dropped {
+				return e.val, true, e.err
+			}
+		case <-ctx.Done():
+			return val, false, ctx.Err()
+		}
 	}
-	e := c.m[key]
-	if e == nil {
-		e = &memoEntry[T]{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = build() })
-	return e.val, e.err
-}
-
-// Forget drops the entry for key (no-op if absent), so a later Get rebuilds
-// it. Used to avoid caching transient failures — a canceled context must
-// not poison the cache for every later caller of the same key.
-func (c *Memo[T]) Forget(key string) {
-	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
 }
 
 // Len reports how many keys have an entry (built or in flight).

@@ -155,12 +155,13 @@ func TestMemoSingleBuild(t *testing.T) {
 	var m Memo[int]
 	var builds atomic.Int64
 	var wg sync.WaitGroup
+	ctx := context.Background()
 	vals := make([]int, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := m.Get("k", func() (int, error) {
+			v, _, err := m.Get(ctx, "k", func() (int, error) {
 				builds.Add(1)
 				time.Sleep(time.Millisecond)
 				return 42, nil
@@ -180,7 +181,7 @@ func TestMemoSingleBuild(t *testing.T) {
 			t.Fatalf("goroutine %d saw %d, want 42", i, v)
 		}
 	}
-	if v, _ := m.Get("other", func() (int, error) { builds.Add(1); return 7, nil }); v != 7 {
+	if v, _, _ := m.Get(ctx, "other", func() (int, error) { builds.Add(1); return 7, nil }); v != 7 {
 		t.Fatalf("second key = %d, want 7", v)
 	}
 	if builds.Load() != 2 {
@@ -193,23 +194,174 @@ func TestMemoSingleBuild(t *testing.T) {
 func TestMemoErrorCachedUntilReset(t *testing.T) {
 	var m Memo[int]
 	var builds atomic.Int64
+	ctx := context.Background()
 	boom := errors.New("boom")
 	build := func() (int, error) {
 		builds.Add(1)
 		return 0, boom
 	}
-	if _, err := m.Get("k", build); !errors.Is(err, boom) {
+	if _, _, err := m.Get(ctx, "k", build); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
-	if _, err := m.Get("k", build); !errors.Is(err, boom) {
-		t.Fatalf("cached: got %v, want %v", err, boom)
+	if _, hit, err := m.Get(ctx, "k", build); !errors.Is(err, boom) || !hit {
+		t.Fatalf("cached: got %v (hit %v), want %v from the cache", err, hit, boom)
 	}
 	if builds.Load() != 1 {
 		t.Fatalf("builds = %d, want 1 (error should be cached)", builds.Load())
 	}
 	m.Reset()
-	if v, err := m.Get("k", func() (int, error) { return 9, nil }); err != nil || v != 9 {
+	if v, _, err := m.Get(ctx, "k", func() (int, error) { return 9, nil }); err != nil || v != 9 {
 		t.Fatalf("after Reset: %d, %v; want 9, nil", v, err)
+	}
+}
+
+// waitCtx is a live context that reports when a Get starts waiting on it:
+// Memo.Get consults a caller's Done channel only while waiting on another
+// caller's build, so the first Done call means the caller has joined.
+type waitCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitCtx(parent context.Context) *waitCtx {
+	return &waitCtx{Context: parent, waiting: make(chan struct{})}
+}
+
+func (c *waitCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestMemoCanceledBuildNotCached: a build that fails after its caller's ctx
+// ended says nothing about the key, so the next caller rebuilds it.
+func TestMemoCanceledBuildNotCached(t *testing.T) {
+	var m Memo[int]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, hit, err := m.Get(ctx, "k", func() (int, error) { return 0, ctx.Err() }); !errors.Is(err, context.Canceled) || hit {
+		t.Fatalf("canceled build: err %v hit %v, want context.Canceled, miss", err, hit)
+	}
+	if n := m.Len(); n != 0 {
+		t.Fatalf("canceled build left %d entries, want 0", n)
+	}
+	v, hit, err := m.Get(context.Background(), "k", func() (int, error) { return 3, nil })
+	if err != nil || v != 3 || hit {
+		t.Fatalf("rebuild: %d, hit %v, %v; want 3, miss, nil", v, hit, err)
+	}
+}
+
+// TestMemoWaiterRebuildsAfterBuilderCanceled: a waiter with a live ctx that
+// joined a build whose caller was canceled rebuilds under its own ctx
+// instead of inheriting the cancellation.
+func TestMemoWaiterRebuildsAfterBuilderCanceled(t *testing.T) {
+	var m Memo[int]
+	bctx, cancel := context.WithCancel(context.Background())
+	wctx := newWaitCtx(context.Background())
+	started := make(chan struct{})
+	builderErr := make(chan error, 1)
+	go func() {
+		_, _, err := m.Get(bctx, "k", func() (int, error) {
+			close(started)
+			<-wctx.waiting
+			cancel()
+			return 0, bctx.Err()
+		})
+		builderErr <- err
+	}()
+	<-started
+	var rebuilds atomic.Int64
+	v, hit, err := m.Get(wctx, "k", func() (int, error) { rebuilds.Add(1); return 5, nil })
+	if err != nil || v != 5 || hit {
+		t.Fatalf("waiter: %d, hit %v, %v; want 5, miss (rebuilt), nil", v, hit, err)
+	}
+	if n := rebuilds.Load(); n != 1 {
+		t.Fatalf("waiter rebuilt %d times, want 1", n)
+	}
+	if err := <-builderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("builder: %v, want context.Canceled", err)
+	}
+	if v, hit, _ := m.Get(context.Background(), "k", nil); v != 5 || !hit {
+		t.Fatalf("after rebuild: %d, hit %v; want the stored 5", v, hit)
+	}
+}
+
+// TestMemoWaiterCancelReturnsPromptly: a waiter whose own ctx ends stops
+// waiting at once; the build it joined runs on and is stored.
+func TestMemoWaiterCancelReturnsPromptly(t *testing.T) {
+	var m Memo[int]
+	started, release := make(chan struct{}), make(chan struct{})
+	type out struct {
+		v   int
+		hit bool
+		err error
+	}
+	builder := make(chan out, 1)
+	go func() {
+		v, hit, err := m.Get(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			return 42, nil
+		})
+		builder <- out{v, hit, err}
+	}()
+	<-started
+	parent, cancel := context.WithCancel(context.Background())
+	wctx := newWaitCtx(parent)
+	waiter := make(chan out, 1)
+	go func() {
+		v, hit, err := m.Get(wctx, "k", func() (int, error) { t.Error("waiter built"); return 0, nil })
+		waiter <- out{v, hit, err}
+	}()
+	<-wctx.waiting
+	cancel()
+	select {
+	case o := <-waiter:
+		if !errors.Is(o.err, context.Canceled) || o.hit {
+			t.Fatalf("canceled waiter: hit %v, %v; want miss, context.Canceled", o.hit, o.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled waiter still blocked on the build")
+	}
+	select {
+	case <-builder:
+		t.Fatal("build finished before release")
+	default:
+	}
+	close(release)
+	if o := <-builder; o.err != nil || o.v != 42 || o.hit {
+		t.Fatalf("builder: %d, hit %v, %v; want 42, miss, nil", o.v, o.hit, o.err)
+	}
+	if v, hit, err := m.Get(context.Background(), "k", nil); err != nil || v != 42 || !hit {
+		t.Fatalf("after build: %d, hit %v, %v; want the stored 42", v, hit, err)
+	}
+}
+
+// TestMemoHitFlag: hit is false for the caller that builds and true both
+// for a caller that joins the in-flight build and for one that finds the
+// stored entry.
+func TestMemoHitFlag(t *testing.T) {
+	var m Memo[int]
+	wctx := newWaitCtx(context.Background())
+	started := make(chan struct{})
+	builderHit := make(chan bool, 1)
+	go func() {
+		_, hit, _ := m.Get(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-wctx.waiting
+			return 8, nil
+		})
+		builderHit <- hit
+	}()
+	<-started
+	if v, hit, err := m.Get(wctx, "k", nil); err != nil || v != 8 || !hit {
+		t.Fatalf("joined in-flight build: %d, hit %v, %v; want 8, hit, nil", v, hit, err)
+	}
+	if hit := <-builderHit; hit {
+		t.Fatal("builder reported a hit")
+	}
+	if v, hit, err := m.Get(context.Background(), "k", nil); err != nil || v != 8 || !hit {
+		t.Fatalf("stored entry: %d, hit %v, %v; want 8, hit, nil", v, hit, err)
 	}
 }
 

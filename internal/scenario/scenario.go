@@ -6,25 +6,11 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/failure"
 	"repro/internal/harness"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// cellResult is one run's measurements.
-type cellResult struct {
-	exec   float64
-	epochs float64
-	fails  failure.Totals
-
-	// Cluster-cell (jobs) aggregates; zero unless the spec has a jobs block.
-	jobCount int
-	util     float64
-	meanWait float64
-	maxWait  float64
-}
 
 // Instrument selects per-cell introspection for RunObserved. The zero value
 // adds nothing to the plain Run path.
@@ -162,28 +148,17 @@ func (s *Spec) RunObserved(ctx context.Context, workers int, ins Instrument, obs
 		return nil, err
 	}
 	cells := s.Cells()
-	results, err := runner.MapCtx(ctx, workers, cells, func(c Cell) (cellResult, error) {
+	results, err := runner.MapCtx(ctx, workers, cells, func(c Cell) (CellSummary, error) {
 		res, err := s.RunCell(ctx, c, ins)
 		if err != nil {
-			return cellResult{}, err
+			return CellSummary{}, err
 		}
 		if obs != nil {
 			if err := obs(c, res); err != nil {
-				return cellResult{}, err
+				return CellSummary{}, err
 			}
 		}
-		cr := cellResult{
-			exec:   res.ExecTime.Seconds(),
-			epochs: float64(res.Epochs),
-			fails:  failure.Sum(res.Failures),
-		}
-		if res.Jobs != nil {
-			cr.jobCount = len(res.Jobs.Jobs)
-			cr.util = res.Jobs.Utilization
-			cr.meanWait = res.Jobs.MeanWait.Seconds()
-			cr.maxWait = res.Jobs.MaxWait.Seconds()
-		}
-		return cr, nil
+		return Summarize(c, res), nil
 	})
 	if err != nil {
 		// A cancel observed by the pool between cells must carry the same
@@ -195,7 +170,7 @@ func (s *Spec) RunObserved(ctx context.Context, workers int, ins Instrument, obs
 		Scale int
 		Mode  string
 	}
-	byCell := map[rowKey][]cellResult{}
+	byCell := map[rowKey][]CellSummary{}
 	for i, c := range cells {
 		key := rowKey{Scale: c.Scale, Mode: c.Mode}
 		byCell[key] = append(byCell[key], results[i])
@@ -216,25 +191,25 @@ func (s *Spec) RunObserved(ctx context.Context, workers int, ins Instrument, obs
 			var row []any
 			if s.Jobs != nil {
 				row = []any{n, mode,
-					stats.Mean(collect(rs, func(r cellResult) float64 { return float64(r.jobCount) })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.exec })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return 100 * r.util })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.meanWait })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.maxWait })),
+					stats.Mean(collect(rs, func(r CellSummary) float64 { return float64(r.jobs().Count) })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.ExecSeconds })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return 100 * r.jobs().Utilization })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.jobs().MeanWaitSeconds })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.jobs().MaxWaitSeconds })),
 				}
 			} else {
 				row = []any{n, mode,
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.exec })),
-					stats.Mean(collect(rs, func(r cellResult) float64 { return r.epochs })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.ExecSeconds })),
+					stats.Mean(collect(rs, func(r CellSummary) float64 { return float64(r.Epochs) })),
 				}
 			}
 			if s.Failures != nil {
 				row = append(row,
-					stats.Mean(collect(rs, func(r cellResult) float64 { return float64(r.fails.Failures) })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.fails.WorkLossGrp.Seconds() })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.fails.WorkLossGlb.Seconds() })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.fails.WorkSaved().Seconds() })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return float64(r.fails.ReplayBytes) / 1024 })),
+					stats.Mean(collect(rs, func(r CellSummary) float64 { return float64(r.failures().Count) })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.failures().LostGroupSeconds })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.failures().LostGlobalSeconds })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return r.failures().SavedSeconds })),
+					stats.Summarize(collect(rs, func(r CellSummary) float64 { return float64(r.failures().ReplayBytes) / 1024 })),
 				)
 			}
 			t.AddRow(row...)
@@ -266,7 +241,7 @@ func (s *Spec) title() string {
 		s.Name, s.Workload.Kind, s.Cluster.Profile, strings.Join(s.Modes, "/"))
 }
 
-func collect(rs []cellResult, f func(cellResult) float64) []float64 {
+func collect(rs []CellSummary, f func(CellSummary) float64) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
 		out[i] = f(r)
