@@ -15,9 +15,9 @@
 // ErrHorizon, ErrCanceled). Every cmd/ binary and example is built on it;
 // the layers below are implementation:
 //
-//	internal/sim       discrete-event kernel (direct-handoff scheduling:
-//	                   the blocking process runs the event loop and hands
-//	                   control straight to the next process's goroutine)
+//	internal/sim       discrete-event kernel (processes are iter.Pull
+//	                   coroutines: the blocking process runs the event loop
+//	                   and yields only to switch to another process)
 //	internal/cluster   nodes, NICs, disks, network, checkpoint servers, OS noise
 //	internal/mpi       MPI-like ranks: p2p, collectives, freeze gates, hooks;
 //	                   pooled message envelopes and sparse per-peer channels

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -49,8 +50,8 @@ func TestInterruptBeforeRun(t *testing.T) {
 }
 
 // settleGoroutines polls until the goroutine count drops to at most want, or
-// times out. Unwinding goroutines finish asynchronously after Shutdown's
-// final handoff, so one measurement can race their exits.
+// times out. A stopped coroutine's goroutine exits asynchronously after
+// handing control back, so one measurement can race its exit.
 func settleGoroutines(t *testing.T, want int) int {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -86,8 +87,84 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 		}
 		k.Shutdown()
 	}
+	// A partitioned kernel interrupted mid-run: its coroutines are resumed
+	// from different pool goroutines in different rounds, then stopped
+	// from this one.
+	k := NewKernel(1)
+	k.SetPartitions(4, Millisecond)
+	k.SetRunWorkers(4)
+	for part := 0; part < 4; part++ {
+		mb := NewMailbox(k, "mb")
+		k.SpawnDaemonIn(part, "daemon", func(p *Proc) {
+			mb.Recv(p, func(any) bool { return true })
+		})
+		for j := 0; j < 4; j++ {
+			k.SpawnIn(part, "worker", func(p *Proc) {
+				for i := 0; ; i++ {
+					if part == 3 && j == 0 && i == 100 {
+						p.Kernel().Interrupt()
+					}
+					p.Hold(Time(1+j) * Millisecond)
+				}
+			})
+		}
+	}
+	if err := k.Run(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("partitioned Run returned %v, want ErrCanceled", err)
+	}
+	if k.PartNow(3) < 100*Millisecond {
+		t.Fatalf("partitioned kernel interrupted at %v, want mid-run", k.PartNow(3))
+	}
+	k.Shutdown()
 	if after := settleGoroutines(t, before); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestPanicReachesRunCaller: a panic in a process body or a kernel callback
+// comes out of Run on the caller's goroutine at every worker count — the
+// lowest-indexed panicking partition's, whichever worker ran it — and
+// Shutdown afterwards reaps every remaining coroutine.
+func TestPanicReachesRunCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, inCallback := range []bool{false, true} {
+			before := runtime.NumGoroutine()
+			k := NewKernel(1)
+			k.SetPartitions(4, Millisecond)
+			k.SetRunWorkers(workers)
+			for part := 0; part < 4; part++ {
+				mb := NewMailbox(k, "mb")
+				k.SpawnDaemonIn(part, "daemon", func(p *Proc) {
+					mb.Recv(p, func(any) bool { return true })
+				})
+				k.SpawnIn(part, "worker", func(p *Proc) {
+					for i := 0; ; i++ {
+						if part >= 2 && i == 10 {
+							boom := func() { panic(fmt.Sprintf("boom %d", part)) }
+							if inCallback {
+								k.PartAt(part, p.Now(), boom)
+							} else {
+								boom()
+							}
+						}
+						p.Hold(Millisecond)
+					}
+				})
+			}
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				k.Run()
+				return nil
+			}()
+			if got != "boom 2" {
+				t.Errorf("workers=%d callback=%v: recovered %v, want boom 2", workers, inCallback, got)
+			}
+			k.Shutdown()
+			if after := settleGoroutines(t, before); after > before {
+				t.Fatalf("workers=%d callback=%v: goroutines leaked: %d before, %d after",
+					workers, inCallback, before, after)
+			}
+		}
 	}
 }
 

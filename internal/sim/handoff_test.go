@@ -27,9 +27,9 @@ func TestAt1RunsPreBoundCallback(t *testing.T) {
 	}
 }
 
-// TestSelfWakeupStaysOnGoroutine exercises the direct-handoff fast path: a
-// lone process holding repeatedly is resumed by its own dispatch loop, and
-// events processed must match the schedule exactly.
+// TestSelfWakeupStaysOnGoroutine exercises block's fast path: a lone process
+// holding repeatedly finds its own wakeup next and keeps running without a
+// coroutine switch, and events processed must match the schedule exactly.
 func TestSelfWakeupStaysOnGoroutine(t *testing.T) {
 	k := NewKernel(1)
 	const holds = 1000
@@ -50,8 +50,8 @@ func TestSelfWakeupStaysOnGoroutine(t *testing.T) {
 	}
 }
 
-// TestBatonChainsThroughFinishingProcs: processes that finish must pass the
-// event loop on to the next runnable process, including across kernel
+// TestBatonChainsThroughFinishingProcs: after a process finishes, the window
+// driver must go on to the next runnable process, including across kernel
 // callbacks scheduled between their wakes.
 func TestBatonChainsThroughFinishingProcs(t *testing.T) {
 	k := NewKernel(1)

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -110,36 +111,36 @@ const infTime = Time(1<<62 - 1)
 
 // partition is one sub-kernel: a slice of the simulation (a set of processes
 // and everything they touch exclusively) with its own event heap, clock,
-// sequence counter, random stream, and baton. During a multi-partition
+// sequence counter, and random stream. During a multi-partition
 // round, each runnable partition executes its window on a worker goroutine
 // with no coordination whatsoever — the conservative bounds computed by the
 // coordinator guarantee no event destined to it can materialize inside its
 // window.
 type partition struct {
-	k      *Kernel
-	id     int
-	now    Time
-	eq     eventHeap
-	seq    uint64
-	parked chan struct{} // baton return to the window driver
-	procs  []*Proc
-	live   int // non-daemon processes that have not finished
-	rng    *rand.Rand
-	events uint64
-	bound  Time  // exclusive upper bound of the current window
-	outbox []xev // cross-partition events staged this window
+	k       *Kernel
+	id      int
+	now     Time
+	eq      eventHeap
+	seq     uint64
+	handoff *Proc // set by a yielding process: the driver resumes it next
+	procs   []*Proc
+	live    int // non-daemon processes that have not finished
+	rng     *rand.Rand
+	events  uint64
+	bound   Time  // exclusive upper bound of the current window
+	outbox  []xev // cross-partition events staged this window
 }
 
 // Kernel is a discrete-event simulation kernel. The zero value is not usable;
 // construct with NewKernel.
 //
-// Scheduling within a partition is by direct handoff: the right to run the
-// event loop (the "baton") lives in exactly one goroutine at a time. When a
-// process blocks, its own goroutine pops the next event and either keeps
-// running (the next event resumes the same process — no channel operation at
-// all) or hands the baton straight to the next process's goroutine. The
-// window driver is just the first baton holder; it gets the baton back only
-// when the partition's window is exhausted.
+// Every process body is a runtime coroutine (iter.Pull), and within a
+// partition exactly one of them, or the window driver, runs at a time. The
+// driver resumes a process by calling its next; when the process blocks, it
+// runs the partition's event loop itself and either keeps running (the next
+// wakeup is its own — no switch at all) or records the next process to run
+// and yields back to the driver, which resumes that one. A coroutine switch
+// is a direct goroutine exchange in the runtime, with no scheduler wakeup.
 //
 // A kernel starts with a single partition, which behaves exactly like the
 // classic serial kernel. SetPartitions splits the simulation into
@@ -179,19 +180,16 @@ type Kernel struct {
 	metrics *Metrics // nil unless observing; see SetMetrics
 
 	// intr is set by Interrupt (any goroutine); step checks it between
-	// events, so whichever goroutine holds a baton parks promptly and
-	// Run returns ErrCanceled.
+	// events, so every partition's event loop stops promptly and Run
+	// returns ErrCanceled.
 	intr atomic.Bool
-	// dying is set by Shutdown; a resumed process observing it unwinds
-	// its goroutine instead of continuing the simulation.
-	dying bool
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Identical seeds produce identical simulations.
 func NewKernel(seed int64) *Kernel {
 	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
-	k.parts = []*partition{{k: k, id: 0, parked: make(chan struct{}), rng: k.rng}}
+	k.parts = []*partition{{k: k, id: 0, rng: k.rng}}
 	return k
 }
 
@@ -223,8 +221,7 @@ func (k *Kernel) SetPartitions(n int, lookahead Time) {
 	k.lookahead = lookahead
 	for i := 1; i < n; i++ {
 		k.parts = append(k.parts, &partition{
-			k: k, id: i, parked: make(chan struct{}),
-			rng: rand.New(rand.NewSource(k.rng.Int63())),
+			k: k, id: i, rng: rand.New(rand.NewSource(k.rng.Int63())),
 		})
 	}
 }
@@ -309,8 +306,9 @@ func (k *Kernel) SetHorizon(t Time) { k.stopAt = t }
 
 // Interrupt requests that Run stop between events and return ErrCanceled.
 // It is the only Kernel method safe to call from outside the simulation —
-// context plumbing hangs a context.AfterFunc on it. Interrupting does not
-// unwind process goroutines; call Shutdown (after Run returns) for that.
+// context plumbing hangs a context.AfterFunc on it. Interrupting leaves the
+// blocked processes suspended; call Shutdown (after Run returns) to stop
+// their coroutines.
 func (k *Kernel) Interrupt() { k.intr.Store(true) }
 
 // Interrupted reports whether Interrupt has been called.
@@ -319,9 +317,10 @@ func (k *Kernel) Interrupted() bool { return k.intr.Load() }
 // At schedules fn to run in kernel context at virtual time t (or now, if t is
 // in the past). fn must not block: it may schedule events, put messages into
 // mailboxes, and spawn processes, but must not call Hold, Recv, or any other
-// blocking primitive. "Kernel context" is whichever goroutine holds the
-// baton when the event fires. On a partitioned kernel, At targets
-// partition 0; use PartAt from any other partition's context.
+// blocking primitive. "Kernel context" is whichever process or window
+// driver is running the partition's event loop when the event fires. On a
+// partitioned kernel, At targets partition 0; use PartAt from any other
+// partition's context.
 func (k *Kernel) At(t Time, fn func()) { k.PartAt(0, t, fn) }
 
 // PartAt is At targeting partition p. It may be called before Run, from
@@ -435,46 +434,33 @@ func (k *Kernel) spawn(pt *partition, name string, fn func(p *Proc), daemon bool
 		pt:      pt,
 		id:      len(pt.procs),
 		name:    name,
-		resume:  make(chan struct{}),
 		blocked: true,
 		state:   "start",
 		daemon:  daemon,
 	}
-	pt.procs = append(pt.procs, p)
-	if !daemon {
-		pt.live++
-	}
-	go func() {
-		<-p.resume
-		if !k.dying {
-			runProcBody(p, fn)
-		}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		runProcBody(p, fn)
 		p.done = true
 		if !p.daemon {
 			p.pt.live--
 		}
-		if k.dying {
-			// Resumed by Shutdown (or unwound under it): hand the baton
-			// straight back to the shutting-down goroutine.
-			p.pt.parked <- struct{}{}
-			return
-		}
-		// Pass the baton onward: the done flag keeps dispatch from ever
-		// selecting this process again, so dispatch either hands off to
-		// another goroutine or returns the baton to the window driver,
-		// and this goroutine exits.
-		p.pt.dispatch(p)
-	}()
+	})
+	pt.procs = append(pt.procs, p)
+	if !daemon {
+		pt.live++
+	}
 	pt.scheduleWake(pt.now, p)
 	return p
 }
 
-// killed is the panic payload Shutdown uses to unwind a parked process
-// goroutine from inside its blocking primitive.
+// killed is the panic payload block raises when its coroutine is stopped,
+// unwinding the process body from inside its blocking primitive.
 type killed struct{}
 
 // runProcBody executes the process function, converting a Shutdown-induced
-// unwind into a normal return. Any other panic propagates.
+// unwind into a normal return. Any other panic propagates out of the
+// coroutine and is re-raised by next in the goroutine that resumed it.
 func runProcBody(p *Proc, fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -488,27 +474,24 @@ func runProcBody(p *Proc, fn func(*Proc)) {
 	fn(p)
 }
 
-// Shutdown unwinds every unfinished process goroutine. A simulation that
-// ends with blocked processes — daemons after a normal run, application
-// ranks after an interrupt, horizon, or deadlock — leaves their goroutines
-// parked forever otherwise, and a long-lived caller running many
-// simulations would accumulate them without bound. Each parked process is
-// resumed once with the dying flag set; it panics out of its blocking
-// primitive, the spawn wrapper recovers, and the goroutine exits. Shutdown
-// is idempotent, must not be called while Run is in flight, and leaves the
-// kernel unusable for further Runs.
+// Shutdown stops every unfinished process coroutine. A simulation that ends
+// with blocked processes — daemons after a normal run, application ranks
+// after an interrupt, horizon, deadlock or panic — leaves their coroutines
+// suspended otherwise, and a long-lived caller running many simulations
+// would accumulate their goroutines without bound. stop resumes a suspended
+// process with its yield returning false; block then panics out of the
+// blocking primitive and runProcBody recovers. A process that never started
+// is discarded without running. Shutdown is idempotent, must not be called
+// while Run is in flight, and leaves the kernel unusable for further Runs.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown during Run")
 	}
-	k.dying = true
 	for _, pt := range k.parts {
 		for _, p := range pt.procs {
-			if p.done {
-				continue
+			if !p.done {
+				p.stop()
 			}
-			p.resume <- struct{}{}
-			<-pt.parked
 		}
 	}
 }
@@ -518,8 +501,8 @@ func (k *Kernel) Shutdown() {
 // the wake token already advanced) for the caller to transfer control to.
 // processed is false when nothing remains runnable — the queue drained or
 // the next event lies at or beyond the window bound. Both runWindow and
-// dispatch drive this one loop body, so every event kind is handled
-// identically whichever goroutine holds the baton.
+// Proc.block drive this one loop body, so every event kind is handled
+// identically whichever of them runs the loop.
 func (pt *partition) step() (resume *Proc, processed bool) {
 	k := pt.k
 	if k.intr.Load() {
@@ -557,44 +540,22 @@ func (pt *partition) step() (resume *Proc, processed bool) {
 	return nil, true
 }
 
-// dispatch runs the partition's event loop on the calling goroutine until
-// control transfers: the first valid process wakeup either returns true (the
-// wakeup is for self — the baton never leaves this goroutine) or hands the
-// baton to that process and returns false. When nothing remains runnable in
-// the window, the baton goes back to the window driver via pt.parked.
-func (pt *partition) dispatch(self *Proc) bool {
-	for {
-		p, processed := pt.step()
-		if !processed {
-			pt.parked <- struct{}{}
-			return false
-		}
-		if p == nil {
-			continue
-		}
-		if p == self {
-			return true
-		}
-		p.resume <- struct{}{}
-		return false
-	}
-}
-
 // runWindow drives the partition until its window [*, bound) is exhausted.
-// The calling goroutine is the window's first baton holder; the baton
-// travels process-to-process and comes back only when nothing remains
-// runnable before the bound.
+// A resumed process runs until it blocks; if its own event loop found
+// another process to wake, it names it in pt.handoff and the driver resumes
+// that one next. Control comes back to this loop proper only when a
+// process finishes or nothing remains runnable before the bound.
 func (pt *partition) runWindow() {
 	for {
 		p, processed := pt.step()
 		if !processed {
 			return
 		}
-		if p == nil {
-			continue
+		for p != nil {
+			pt.handoff = nil
+			p.next()
+			p = pt.handoff
 		}
-		p.resume <- struct{}{}
-		<-pt.parked
 	}
 }
 
@@ -636,7 +597,7 @@ func (k *Kernel) Run() error {
 }
 
 // runSerial is the classic single-partition event loop, byte-identical to
-// the pre-partitioning kernel: one heap, one clock, one baton.
+// the pre-partitioning kernel: one heap, one clock, one window driver.
 func (k *Kernel) runSerial() error {
 	pt := k.parts[0]
 	pt.bound = k.horizonBound()
@@ -791,7 +752,10 @@ func (k *Kernel) finishPartitioned(err error) error {
 // goroutine when only one worker is configured, else on a small pool
 // claiming partitions from an atomic cursor. Work distribution across
 // goroutines is irrelevant to the result: partitions share nothing within
-// a round.
+// a round. A panic in a pool worker's window is recovered, every other
+// window still runs, and the panic of the lowest-indexed partition is
+// re-raised on the calling goroutine — the same one a single worker would
+// have raised first.
 func (k *Kernel) runRound(runnable []*partition) {
 	w := k.workers
 	if w > len(runnable) {
@@ -805,6 +769,7 @@ func (k *Kernel) runRound(runnable []*partition) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	panics := make([]any, len(runnable))
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
@@ -814,11 +779,19 @@ func (k *Kernel) runRound(runnable []*partition) {
 				if j >= int64(len(runnable)) {
 					return
 				}
-				runnable[j].runWindow()
+				func() {
+					defer func() { panics[j] = recover() }()
+					runnable[j].runWindow()
+				}()
 			}
 		}()
 	}
 	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
 }
 
 // deadlockCheck reports blocked live processes after the queues drained.

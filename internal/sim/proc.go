@@ -1,16 +1,19 @@
 package sim
 
-// Proc is a simulated process. Within a partition, exactly one Proc executes
-// at any instant; a Proc runs until it calls a blocking primitive (Hold,
-// Mailbox.Recv, Resource.Use, Gate.Pass, Counter.AwaitAtLeast), at which
-// point it runs its partition's event loop itself and hands control directly
-// to the next runnable process (see Kernel).
+// Proc is a simulated process: its body runs as a runtime coroutine.
+// Within a partition, exactly one Proc executes at any instant; a Proc runs
+// until it calls a blocking primitive (Hold, Mailbox.Recv, Resource.Use,
+// Gate.Pass, Counter.AwaitAtLeast), at which point it runs its partition's
+// event loop itself and either continues or yields to the window driver,
+// which resumes the next runnable process (see Kernel).
 type Proc struct {
 	pt      *partition
 	id      int // index within the partition, spawn order
 	name    string
-	resume  chan struct{}
-	token   uint64 // wake token; advanced on every resume
+	next    func() (struct{}, bool) // resume the body until it blocks or ends
+	stop    func()                  // end the coroutine; see Kernel.Shutdown
+	yield   func(struct{}) bool     // suspend the body; false once stopped
+	token   uint64                  // wake token; advanced on every resume
 	blocked bool
 	done    bool
 	daemon  bool   // daemons do not count toward deadlock detection
@@ -47,25 +50,32 @@ func (p *Proc) State() string { return p.state }
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.done }
 
-// block parks the process with the given state description until the kernel
-// resumes it. Callers must have arranged a wakeup (a scheduled event or
-// registration with a mailbox/gate/counter) before calling block.
+// block suspends the process with the given state description until the
+// kernel resumes it. Callers must have arranged a wakeup (a scheduled event
+// or registration with a mailbox/gate/counter) before calling block.
 //
-// The blocking process drives the event loop itself (direct handoff): if the
-// next runnable event is this process's own wakeup, block returns without a
-// single channel operation; otherwise the baton goes straight to the next
-// process and this goroutine parks until some future baton holder resumes it.
+// The blocking process drives the event loop itself: if the next runnable
+// event is this process's own wakeup, block returns without a coroutine
+// switch; otherwise it names the next process in the partition's handoff
+// slot (none when the window is exhausted) and yields to the window driver,
+// which resumes that process. Once Kernel.Shutdown has stopped the
+// coroutine, yield returns false and block unwinds the body with a killed
+// panic, recovered in runProcBody.
 func (p *Proc) block(state string) {
 	p.state = state
 	p.blocked = true
-	if !p.pt.dispatch(p) {
-		<-p.resume
-	}
-	if p.pt.k.dying {
-		// Resumed by Kernel.Shutdown: unwind this goroutine instead of
-		// continuing the (finished) simulation. Recovered in the spawn
-		// wrapper.
-		panic(killed{})
+	for {
+		q, processed := p.pt.step()
+		if q == p {
+			break // own wakeup: keep running
+		}
+		if q != nil || !processed {
+			p.pt.handoff = q
+			if !p.yield(struct{}{}) {
+				panic(killed{})
+			}
+			break
+		}
 	}
 	p.blocked = false
 	p.state = "running"
