@@ -49,7 +49,8 @@ bench-json:
 # Trajectory view: render every BENCH_*.json under TREND_DIR as a markdown
 # trend table — one column per commit, one row per tracked (benchmark,
 # metric) — and exit non-zero when ns/op, allocs/op, or GP_ckpt_s drifted
-# up >20% in the newest report, or a guarded benchmark went missing from it.
+# up >20% in the newest report, or a guarded benchmark went missing from it,
+# against the latest earlier report from the same machine (none: not checked).
 # CI runs it over the committed reports plus the fresh one, and separately
 # over recent push artifacts, posting that table to the job summary; see
 # EXPERIMENTS.md.
@@ -58,12 +59,13 @@ bench-trend:
 	$(GO) run ./cmd/benchdiff -trend $(TREND_DIR)
 
 # Short native-fuzzing smoke runs: the scenario spec parser (parser and
-# validator drift) and the simcheck end-to-end oracle (each fuzz input is a
+# validator drift), the simcheck end-to-end oracle (each fuzz input is a
 # generator seed that expands into a full scenario checked against every
-# invariant). Enough executions to catch drift, fast enough for every CI run.
+# invariant), and sim.NewRand against math/rand's stream. Enough executions to catch drift, fast enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/simcheck
+	$(GO) test -run '^$$' -fuzz FuzzNewRand -fuzztime 10s ./internal/sim
 
 # Bounded randomized invariant sweep (~10s): 100 generated scenarios through
 # the simcheck oracle. A printed failing seed reproduces exactly with

@@ -5,8 +5,12 @@
 // column per commit. It tracks ns/op, allocs/op, and any custom benchmark
 // metrics named with -track (e.g. GP_ckpt_s from BenchmarkFig06), and
 // flags the latest report when a tracked metric drifted up by more than
-// -tolerance versus the previous one, or when a -match benchmark present
-// in the previous report is missing from the latest. The -match filter
+// -tolerance versus its baseline, or when a -match benchmark present in
+// the baseline is missing from the latest. The baseline is the latest
+// earlier report from the same machine (CPU model, CPU count, GOMAXPROCS,
+// as cmd/benchjson records them): a faster or slower host is not a
+// regression. With no such report the drift check is skipped and the
+// table says "no same-machine baseline". The -match filter
 // applies to the ns/op and allocs/op rows only; custom -track metrics are
 // followed on every benchmark reporting them, since naming one is already
 // an opt-in. CI posts the table to the job summary (`make bench-trend`);
@@ -39,7 +43,19 @@ type Benchmark struct {
 type Report struct {
 	Commit     string      `json:"commit,omitempty"`
 	When       string      `json:"when,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"numCPU,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// machine identifies the host a report was measured on. Reports written
+// before benchjson recorded the machine all share the empty identity.
+func (r *Report) machine() string {
+	if r.CPU == "" && r.NumCPU == 0 && r.GOMAXPROCS == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS %d", r.CPU, r.NumCPU, r.GOMAXPROCS)
 }
 
 // defaultMatch selects the benchmarks whose wall clock the refactors of the
@@ -50,7 +66,7 @@ func main() {
 	var (
 		match     = flag.String("match", defaultMatch, "regexp selecting the benchmarks whose ns/op and allocs/op are tracked")
 		trend     = flag.String("trend", "", "directory of BENCH_*.json reports to render as a markdown trend table (required)")
-		tolerance = flag.Float64("tolerance", 0.20, "flag a tracked metric drifting up by more than this fraction vs the previous report")
+		tolerance = flag.Float64("tolerance", 0.20, "flag a tracked metric drifting up by more than this fraction vs the same-machine baseline")
 		track     = flag.String("track", "GP_ckpt_s", "comma-separated custom benchmark metrics to track besides ns/op and allocs/op")
 	)
 	flag.Parse()

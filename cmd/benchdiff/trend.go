@@ -29,7 +29,8 @@ func (t *trendReport) label() string {
 
 // runTrend is trajectory mode: load every BENCH_*.json under dir, order
 // them oldest → newest, render the markdown trend table, and return the
-// exit code (0 clean, 1 tolerance breached, 2 usage/data problems).
+// exit code (0 clean or no same-machine baseline, 1 tolerance breached,
+// 2 usage/data problems).
 func runTrend(dir string, match *regexp.Regexp, tolerance float64, track string) int {
 	reports, err := loadTrendDir(dir)
 	if err != nil {
@@ -49,12 +50,17 @@ func runTrend(dir string, match *regexp.Regexp, tolerance float64, track string)
 		}
 	}
 
-	rows, breaches := trendRows(reports, match, tracked, tolerance)
+	base := baseline(reports)
+	rows, breaches := trendRows(reports, base, match, tracked, tolerance)
 	if len(rows) == 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: no benchmark matched %q in at least 2 reports\n", match)
 		return 2
 	}
-	writeTrendTable(os.Stdout, reports, rows, tolerance, breaches)
+	writeTrendTable(os.Stdout, reports, base, rows, tolerance, breaches)
+	if base < 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: no same-machine baseline for %s; drift not checked\n",
+			reports[len(reports)-1].label())
+	}
 	if breaches > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) drifted up more than %.0f%% or went missing in the latest report\n",
 			breaches, tolerance*100)
@@ -102,6 +108,19 @@ func loadTrendDir(dir string) ([]*trendReport, error) {
 	return reports, nil
 }
 
+// baseline returns the index of the latest report before the newest one
+// that was measured on the newest one's machine, or -1 when there is none.
+func baseline(reports []*trendReport) int {
+	last := len(reports) - 1
+	m := reports[last].rep.machine()
+	for i := last - 1; i >= 0; i-- {
+		if reports[i].rep.machine() == m {
+			return i
+		}
+	}
+	return -1
+}
+
 // metricValue extracts one tracked metric from a benchmark (ok=false when
 // the report doesn't carry it).
 func metricValue(b Benchmark, metric string) (float64, bool) {
@@ -118,21 +137,24 @@ type trendRow struct {
 	matched       bool      // the benchmark passes -match
 	vals          []float64 // parallel to reports; NaN = absent
 	present       []bool
-	delta         float64 // latest vs previous present value
+	delta         float64 // latest vs the last same-machine value
 	hasDelta      bool
-	gone          bool // matched, in the previous report, missing from the latest
+	gone          bool // matched, in the baseline report, missing from the latest
 	breach        bool
 }
 
 // trendRows assembles the table rows: every (benchmark, metric) series
-// present in at least two reports, in sorted order, with the latest-step
-// drift computed and checked against tolerance. A -match series present in
-// the previous report and missing from the latest is lost coverage, not a
-// pass: it is shown and counted as a breach. The -match filter governs
-// the ns/op and allocs/op rows only; a custom -track metric is an explicit
-// opt-in and is followed wherever it appears — GP_ckpt_s lives on the
-// figure benchmarks, which the default filter excludes by name.
-func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, tolerance float64) (rows []*trendRow, breaches int) {
+// present in at least two reports, in sorted order, with the latest
+// value's drift from its last value on the same machine (in the baseline
+// report base, or in an earlier same-machine report where the baseline
+// lacks it) checked against tolerance. A -match series present in the
+// baseline and missing from the latest is lost coverage, not a pass: it
+// is shown and counted as a breach. With base < 0 nothing is compared.
+// The -match filter governs the ns/op and allocs/op rows only; a custom
+// -track metric is an explicit opt-in and is followed wherever it
+// appears — GP_ckpt_s lives on the figure benchmarks, which the default
+// filter excludes by name.
+func trendRows(reports []*trendReport, base int, match *regexp.Regexp, tracked []string, tolerance float64) (rows []*trendRow, breaches int) {
 	type key struct{ bench, metric string }
 	series := map[key]*trendRow{}
 	for i, tr := range reports {
@@ -169,6 +191,7 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 		}
 	}
 	last := len(reports) - 1
+	machine := reports[last].rep.machine()
 	for _, row := range series {
 		n := 0
 		for _, p := range row.present {
@@ -178,7 +201,7 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 		}
 		if !row.present[last] {
 			switch {
-			case row.matched && row.present[last-1]:
+			case row.matched && base >= 0 && row.present[base]:
 				row.gone, row.breach = true, true
 				breaches++
 				rows = append(rows, row)
@@ -191,8 +214,8 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 			continue
 		}
 		prev := -1
-		for i := last - 1; i >= 0; i-- {
-			if row.present[i] {
+		for i := base; i >= 0; i-- {
+			if row.present[i] && reports[i].rep.machine() == machine {
 				prev = i
 				break
 			}
@@ -218,8 +241,19 @@ func trendRows(reports []*trendReport, match *regexp.Regexp, tracked []string, t
 
 // writeTrendTable renders the markdown table CI uploads as an artifact and
 // posts to the job summary.
-func writeTrendTable(w *os.File, reports []*trendReport, rows []*trendRow, tolerance float64, breaches int) {
+func writeTrendTable(w *os.File, reports []*trendReport, base int, rows []*trendRow, tolerance float64, breaches int) {
 	fmt.Fprintf(w, "## Benchmark trend (%d reports, tolerance %.0f%%)\n\n", len(reports), tolerance*100)
+	newest := reports[len(reports)-1]
+	machine := newest.rep.machine()
+	if machine == "" {
+		machine = "machine not recorded"
+	}
+	if base < 0 {
+		fmt.Fprintf(w, "Δ last: no same-machine baseline for %s (%s).\n\n", newest.label(), machine)
+	} else {
+		fmt.Fprintf(w, "Δ last: %s against %s, the latest earlier report from the same machine (%s).\n\n",
+			newest.label(), reports[base].label(), machine)
+	}
 	fmt.Fprint(w, "| benchmark | metric |")
 	for _, tr := range reports {
 		fmt.Fprintf(w, " %s |", tr.label())
@@ -251,10 +285,13 @@ func writeTrendTable(w *os.File, reports []*trendReport, rows []*trendRow, toler
 		}
 	}
 	fmt.Fprintln(w)
-	if breaches > 0 {
+	switch {
+	case base < 0:
+		fmt.Fprintln(w, "Drift not checked: no same-machine baseline.")
+	case breaches > 0:
 		fmt.Fprintf(w, "**%d metric(s) breached the %.0f%% tolerance or went missing in the latest report.**\n", breaches, tolerance*100)
-	} else {
-		fmt.Fprintf(w, "All tracked metrics within %.0f%% of the previous report.\n", tolerance*100)
+	default:
+		fmt.Fprintf(w, "All tracked metrics within %.0f%% of the same-machine baseline.\n", tolerance*100)
 	}
 }
 

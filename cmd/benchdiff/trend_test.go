@@ -252,3 +252,74 @@ func TestMissingTrendExitsUsage(t *testing.T) {
 		t.Fatalf("missing -trend did not exit 2 (err=%v):\n%s", err, out)
 	}
 }
+
+// onMachine stamps a report document with the machine fields benchjson
+// records.
+func onMachine(doc, cpu string, numCPU, procs int) string {
+	return strings.Replace(doc, "{", `{"cpu": "`+cpu+`", "numCPU": `+strconv.Itoa(numCPU)+
+		`, "gomaxprocs": `+strconv.Itoa(procs)+`, `, 1)
+}
+
+// TestTrendComparesSameMachineOnly: the newest report's drift is measured
+// against the latest earlier report from its own machine, skipping a
+// report from another machine in between, in both directions — a slow
+// host's report neither hides a regression nor flags a fast one.
+func TestTrendComparesSameMachineOnly(t *testing.T) {
+	cases := []struct {
+		name        string
+		other, head float64 // ns/op of the other machine's report and the newest
+		wantExit    int
+		wantDelta   string
+	}{
+		{"faster host in between", 500, 1050, 0, "+5.0%"},
+		{"slower host in between", 1500, 1300, 1, "⚠ +30.0%"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write(t, dir+"/BENCH_aaa.json", onMachine(trendReportJSON("aaa", "2026-08-01T10:00:00Z", 1000, 0, 0), "Xeon", 2, 2))
+			write(t, dir+"/BENCH_bbb.json", onMachine(trendReportJSON("bbb", "2026-08-02T10:00:00Z", tc.other, 0, 0), "EPYC", 8, 8))
+			write(t, dir+"/BENCH_ccc.json", onMachine(trendReportJSON("ccc", "2026-08-03T10:00:00Z", tc.head, 0, 0), "Xeon", 2, 2))
+			out, err := runCLI(t, "-trend", dir, "-match", ".*")
+			code := 0
+			if ee, ok := err.(*exec.ExitError); ok {
+				code = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if code != tc.wantExit {
+				t.Fatalf("exit %d, want %d:\n%s", code, tc.wantExit, out)
+			}
+			row := "| mpi:BenchmarkSendPath | ns/op | 1000 | " + strconv.FormatFloat(tc.other, 'f', -1, 64) +
+				" | " + strconv.FormatFloat(tc.head, 'f', -1, 64) + " | "
+			if !strings.Contains(out, row) || !strings.Contains(out, tc.wantDelta) {
+				t.Errorf("Δ %q against the same-machine report missing:\n%s", tc.wantDelta, out)
+			}
+			if !strings.Contains(out, "ccc against aaa") {
+				t.Errorf("baseline not named:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestTrendNoSameMachineBaseline: when no earlier report comes from the
+// newest one's machine, a slowdown and a vanished guarded benchmark are
+// machine drift, not breaches: the table says so and the exit is 0. A
+// report without a machine record does not match one with it.
+func TestTrendNoSameMachineBaseline(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir+"/BENCH_aaa.json", guardedJSON)
+	write(t, dir+"/BENCH_bbb.json", onMachine(`{"commit": "bbb", "when": "2026-08-02T10:00:00Z", "benchmarks": [
+		{"pkg": "repro/internal/sim", "name": "BenchmarkKernelHold", "runs": 10, "nsPerOp": 400}
+	]}`, "Xeon", 2, 1))
+	out, err := runCLI(t, "-trend", dir)
+	if err != nil {
+		t.Fatalf("no same-machine baseline exited non-zero: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "no same-machine baseline") {
+		t.Errorf("missing baseline not reported:\n%s", out)
+	}
+	if strings.Contains(out, "⚠") {
+		t.Errorf("cross-machine drift flagged:\n%s", out)
+	}
+}

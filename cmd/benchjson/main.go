@@ -9,7 +9,10 @@
 //	BenchmarkEventHeap/concrete-8   9023472   147.1 ns/op   0 B/op   0 allocs/op
 //
 // Every `unit: value` pair after the iteration count is kept, so custom
-// metrics (events/op, exec_s, ...) survive into the JSON.
+// metrics (events/op, exec_s, ...) survive into the JSON. The report also
+// records the machine the benchmarks ran on — the `cpu:` line go test
+// prints, runtime.NumCPU and GOMAXPROCS — so `benchdiff -trend` compares
+// reports from one machine only.
 package main
 
 import (
@@ -41,6 +44,9 @@ type Report struct {
 	GoVersion  string      `json:"goVersion"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
+	CPU        string      `json:"cpu,omitempty"` // go test's "cpu:" line
+	NumCPU     int         `json:"numCPU,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -72,6 +78,8 @@ func parse(r io.Reader, commit string) (*Report, error) {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: []Benchmark{},
 	}
 	sc := bufio.NewScanner(r)
@@ -81,6 +89,10 @@ func parse(r io.Reader, commit string) (*Report, error) {
 		line := sc.Text()
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = strings.TrimSpace(rest)
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			report.CPU = strings.TrimSpace(rest)
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {

@@ -26,6 +26,9 @@ func TestParse(t *testing.T) {
 	if r.Commit != "abc123" || r.GoVersion == "" {
 		t.Errorf("metadata missing: %+v", r)
 	}
+	if r.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || r.NumCPU < 1 || r.GOMAXPROCS < 1 {
+		t.Errorf("machine not recorded: cpu %q, numCPU %d, GOMAXPROCS %d", r.CPU, r.NumCPU, r.GOMAXPROCS)
+	}
 	if len(r.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(r.Benchmarks), r.Benchmarks)
 	}

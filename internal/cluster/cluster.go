@@ -129,7 +129,7 @@ func New(k *sim.Kernel, n int, cfg Config) *Cluster {
 			Disk:   sim.NewResource(k, fmt.Sprintf("disk%d", i), cfg.DiskWrite),
 			k:      k,
 
-			noiseRand: rand.New(rand.NewSource(k.Rand().Int63())),
+			noiseRand: sim.NewRand(k.Rand().Int63()),
 		}
 		nd.advanceNoise(0)
 		c.Nodes = append(c.Nodes, nd)

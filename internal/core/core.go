@@ -489,9 +489,11 @@ func (e *Engine) checkpoint(st *rankState, p *sim.Proc, epoch, replyTo int) {
 // depends only on the simulation, never on worker scheduling.
 func (e *Engine) flushPending() {
 	var cuts []Cut
-	for pt := range e.pendCuts {
-		cuts = append(cuts, e.pendCuts[pt]...)
-		e.pendCuts[pt] = e.pendCuts[pt][:0]
+	for pt, pc := range e.pendCuts {
+		if len(pc) > 0 {
+			cuts = append(cuts, pc...)
+			e.pendCuts[pt] = pc[:0]
+		}
 	}
 	if len(cuts) > 0 {
 		sort.Slice(cuts, func(i, j int) bool {
@@ -509,9 +511,11 @@ func (e *Engine) flushPending() {
 		}
 	}
 	var recs []ckpt.Record
-	for pt := range e.pendRecs {
-		recs = append(recs, e.pendRecs[pt]...)
-		e.pendRecs[pt] = e.pendRecs[pt][:0]
+	for pt, pr := range e.pendRecs {
+		if len(pr) > 0 {
+			recs = append(recs, pr...)
+			e.pendRecs[pt] = pr[:0]
+		}
 	}
 	if len(recs) > 0 {
 		sort.Slice(recs, func(i, j int) bool {

@@ -58,7 +58,7 @@ func NewInjector(w *mpi.World, f group.Formation, src StateSource, proc Process,
 	}
 	return &Injector{
 		w: w, f: f, src: src, proc: proc,
-		rng: rand.New(rand.NewSource(seed)),
+		rng: sim.NewRand(seed),
 		max: maxFailures,
 	}
 }

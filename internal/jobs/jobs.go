@@ -236,7 +236,7 @@ func arrivals(spec Spec) ([]Job, error) {
 	for _, tp := range spec.Templates {
 		totalWeight += tp.Weight
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := sim.NewRand(spec.Seed)
 	js := make([]Job, spec.Count)
 	var now sim.Time
 	for i := range js {

@@ -185,10 +185,11 @@ type Kernel struct {
 	intr atomic.Bool
 }
 
-// NewKernel returns a kernel whose random source is seeded with seed.
+// NewKernel returns a kernel whose random source is NewRand(seed): the
+// stream of rand.New(rand.NewSource(seed)), without its eager register.
 // Identical seeds produce identical simulations.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{rng: NewRand(seed)}
 	k.parts = []*partition{{k: k, id: 0, rng: k.rng}}
 	return k
 }
@@ -221,7 +222,7 @@ func (k *Kernel) SetPartitions(n int, lookahead Time) {
 	k.lookahead = lookahead
 	for i := 1; i < n; i++ {
 		k.parts = append(k.parts, &partition{
-			k: k, id: i, rng: rand.New(rand.NewSource(k.rng.Int63())),
+			k: k, id: i, rng: NewRand(k.rng.Int63()),
 		})
 	}
 }
@@ -272,7 +273,8 @@ func (k *Kernel) PartNow(p int) Time { return k.parts[p].now }
 // use PartRand with the caller's own partition.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// PartRand returns partition p's deterministic random stream. On a
+// PartRand returns partition p's deterministic random stream: NewRand of a
+// seed drawn from the master stream at SetPartitions. On a
 // single-partition kernel PartRand(0) is the master stream, so code that
 // routes its draws through PartRand is bit-identical to the classic kernel
 // when unpartitioned.

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/pattern"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // GenConfig bounds the generator. The zero value selects the quick-sweep
@@ -49,7 +50,7 @@ func (c GenConfig) maxRanks() int {
 // it ever produces a spec the scenario validator rejects — that is a
 // generator bug, and the panic message carries the reproducing seed.
 func Generate(seed int64, cfg GenConfig) *scenario.Spec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	max := cfg.maxRanks()
 
 	s := &scenario.Spec{
