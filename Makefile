@@ -31,8 +31,9 @@ bench:
 
 # Benchmark timings archived as JSON, one file per commit: every benchmark
 # at one iteration (end-to-end wall times, figure regenerations included)
-# except the sim kernel and mpi send-path hot-path benchmarks, which run at
-# a statistically meaningful benchtime instead — the send path must show
+# except the hot-path benchmarks of the sim kernel, the mpi send path, the
+# cell scheduler (runner) and gbd's cache-hit path, which run at a
+# statistically meaningful benchtime instead — the send path must show
 # its steady-state 0 allocs/op, not a warmup-amortized count. CI uploads
 # the file as a workflow artifact on every push, recording the performance
 # trajectory; the report carries the commit time so `bench-trend` can order
@@ -40,8 +41,10 @@ bench:
 bench-json:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) test -bench=. -benchtime=1x -run='^$$' \
-		$$($(GO) list ./... | grep -v -e '/internal/sim$$' -e '/internal/mpi$$') > $$tmp/full.txt; \
-	$(GO) test -bench=. -benchtime=0.5s -run='^$$' ./internal/sim ./internal/mpi > $$tmp/hot.txt; \
+		$$($(GO) list ./... | grep -v -e '/internal/sim$$' -e '/internal/mpi$$' \
+			-e '/internal/runner$$' -e '/gb/gbd$$') > $$tmp/full.txt; \
+	$(GO) test -bench=. -benchtime=0.5s -run='^$$' \
+		./internal/sim ./internal/mpi ./internal/runner ./gb/gbd > $$tmp/hot.txt; \
 	cat $$tmp/full.txt $$tmp/hot.txt \
 		| $(GO) run ./cmd/benchjson -commit $(SHORT_SHA) -when "$(COMMIT_WHEN)" > BENCH_$(SHORT_SHA).json; \
 	echo wrote BENCH_$(SHORT_SHA).json

@@ -59,8 +59,9 @@ func (r *Report) machine() string {
 }
 
 // defaultMatch selects the benchmarks whose wall clock the refactors of the
-// simulation hot path are accountable for.
-const defaultMatch = `^Benchmark(Scenario|Kernel|EventHeap|SendPath)`
+// simulation hot path, the random streams and the cell scheduler are
+// accountable for.
+const defaultMatch = `^Benchmark(Scenario|Kernel|EventHeap|SendPath|MapCtx|CacheHit|NodeRand)`
 
 func main() {
 	var (

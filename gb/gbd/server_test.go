@@ -39,7 +39,7 @@ const oneCellSpec = `{
 	"reps": 1
 }`
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(opts)
 	ts := httptest.NewServer(s)
@@ -337,12 +337,29 @@ func TestSSEDisconnect(t *testing.T) {
 	if after := settleGoroutines(before); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
 	}
+	// Every abandoned cell left the queue and finished running.
+	for _, name := range []string{"gbd_queue_depth", "gbd_active_cells"} {
+		deadline := time.Now().Add(5 * time.Second)
+		for s.gaugeValue(name) != 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if v := s.gaugeValue(name); v != 0 {
+			t.Errorf("%s = %g after the abandoned cells drained, want 0", name, v)
+		}
+	}
 }
 
 // counterValue reads one counter from a live snapshot, 0 if absent.
 func (s *Server) counterValue(name string) int64 {
 	snap := s.col.Snapshot()
 	v, _ := snap.Counter(name)
+	return v
+}
+
+// gaugeValue reads one gauge from a live snapshot, 0 if absent.
+func (s *Server) gaugeValue(name string) float64 {
+	snap := s.col.Snapshot()
+	v, _ := snap.Gauge(name)
 	return v
 }
 
@@ -583,5 +600,35 @@ func TestGracefulDrain(t *testing.T) {
 	ts.Close()
 	if after := settleGoroutines(before); after > before {
 		t.Fatalf("goroutines leaked after drain: %d before, %d after", before, after)
+	}
+}
+
+// BenchmarkCacheHit is one /v1/runs cache hit through a loopback server:
+// decode, Submit, a pool worker's Memo hit, the wire response. Most gbd
+// traffic takes this path.
+func BenchmarkCacheHit(b *testing.B) {
+	_, ts := newTestServer(b, Options{Workers: 2})
+	body := sweepBody(oneCellSpec)
+	run := func() string {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+		return resp.Header.Get(CacheHeader)
+	}
+	run() // computes the cell
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := run(); got != "hit" {
+			b.Fatalf("%s = %q, want hit", CacheHeader, got)
+		}
 	}
 }

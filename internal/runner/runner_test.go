@@ -469,3 +469,19 @@ func TestEachCancelAndDrainDoesNotLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
+
+// BenchmarkMapCtx is the scheduler's own cost: 1024 trivial keys on two
+// workers, so the time and allocations are the pool's, not the work's.
+func BenchmarkMapCtx(b *testing.B) {
+	keys := make([]int, 1024)
+	for i := range keys {
+		keys[i] = i
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := MapCtx(ctx, 2, keys, func(k int) (int, error) { return k, nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
