@@ -5,7 +5,7 @@ GO ?= go
 SHORT_SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)
 COMMIT_WHEN := $(shell git show -s --format=%cI HEAD 2>/dev/null || echo "")
 
-.PHONY: build test race parallel-race bench bench-json bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
+.PHONY: build test race parallel-race sched-race bench bench-json bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,14 @@ race:
 # reports on its own line, mirroring gbd-smoke-race.
 parallel-race:
 	$(GO) test -race -run TestParallelKernelMultiGroupRace -v ./gb
+
+# The cell scheduler under the race detector: runner.Pool, Each and MapCtx,
+# gbd's shared pool and gb.Sweep's private one, five times over. Unlike
+# `make race`, which needs far more memory for the 64k goldens, it
+# finishes on a small machine; CI reports it on its own line.
+sched-race:
+	$(GO) test -race -count=5 ./internal/runner ./gb/gbd
+	$(GO) test -race -run Sweep ./gb
 
 # One iteration of every benchmark — a smoke pass proving the experiment
 # suite still regenerates each figure, not a timing run.
@@ -135,4 +143,4 @@ lint:
 		exit 1; \
 	fi
 
-ci: lint build race bench smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke
+ci: lint build race sched-race bench smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke

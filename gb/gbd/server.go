@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -32,6 +31,10 @@ const CacheHeader = "X-GBD-Cache"
 // gbd_requests_canceled_total counter is the observable signal.
 const StatusClientClosed = 499
 
+// errDraining is returned once the daemon is draining; the HTTP layer
+// maps it to 503 so clients know to retry elsewhere.
+var errDraining = errors.New("gbd: draining, not accepting new work")
+
 // Options configure a Server. The zero value is usable.
 type Options struct {
 	// Workers bounds the shared cell pool; <= 0 means GOMAXPROCS.
@@ -54,7 +57,7 @@ type Options struct {
 type Server struct {
 	opts     Options
 	col      *metrics.Collector
-	pool     *pool
+	pool     *runner.Pool
 	poolSize int
 	cells    runner.Memo[[]byte] // determinism cache: cell key -> wire bytes
 	mux      *http.ServeMux
@@ -70,9 +73,10 @@ type Server struct {
 	tenantMu sync.Mutex
 	tenants  map[string]bool
 
-	canceled     *metrics.Counter
-	hits, misses *metrics.Counter
-	drainingG    *metrics.Gauge
+	canceled       *metrics.Counter
+	hits, misses   *metrics.Counter
+	queued, active *metrics.Gauge
+	drainingG      *metrics.Gauge
 }
 
 // NewServer builds a ready-to-serve Server. Callers own its lifecycle:
@@ -94,15 +98,15 @@ func NewServer(opts Options) *Server {
 		drainingG: col.Gauge("gbd_draining", "bool",
 			"1 while the daemon is draining and rejecting new requests"),
 	}
-	queued := col.Gauge("gbd_queue_depth", "cells", "cells queued across all tenants, not yet running")
-	active := col.Gauge("gbd_active_cells", "cells", "cells executing right now")
+	s.queued = col.Gauge("gbd_queue_depth", "cells", "cells queued across all tenants, not yet running")
+	s.active = col.Gauge("gbd_active_cells", "cells", "cells executing right now")
 	s.hits = col.Counter("gbd_cache_hits_total", "cells", "cells served from the determinism cache")
 	s.misses = col.Counter("gbd_cache_misses_total", "cells", "cells computed because the cache had no entry")
 	s.poolSize = opts.Workers
 	if s.poolSize <= 0 {
-		s.poolSize = runtime.GOMAXPROCS(0)
+		s.poolSize = runner.DefaultWorkers()
 	}
-	s.pool = newPool(s.poolSize, queued, active)
+	s.pool = runner.NewPool(s.poolSize)
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
 
 	s.mux = http.NewServeMux()
@@ -289,68 +293,69 @@ func (s *Server) decode(r *http.Request) (*request, error) {
 	return &request{sc: sc, key: key, horizonS: horizonS, runWorkers: runWorkers, cells: cells}, nil
 }
 
-// cellOut is one scheduled cell's outcome, tagged with its matrix index.
+// cellOut is one scheduled cell's rendered bytes and whether they came
+// from the determinism cache.
 type cellOut struct {
-	idx   int
 	bytes []byte
 	hit   bool
-	err   error
 }
 
 // schedule submits every cell of req to the shared pool under the request
-// context. The returned channel is buffered to len(cells): every submitted
-// job sends exactly once whatever happens, so abandoning the channel never
-// strands a worker and canceling ctx makes the leftover jobs cheap no-ops.
-func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, error) {
+// context's tenant. Each cell's result arrives on the returned channel
+// exactly once (see runner.Each), so abandoning the channel never strands
+// a worker and canceling ctx makes the leftover jobs cheap no-ops.
+func (s *Server) schedule(ctx context.Context, req *request) (<-chan runner.Indexed[cellOut], error) {
 	tenant := tenantOf(ctx)
-	cellsC := s.col.Counter(metrics.Label("gbd_cells_scheduled_total", "tenant", tenant),
-		"cells", "sweep cells scheduled on the shared pool, by tenant")
-	ch := make(chan cellOut, len(req.cells))
-	for i, c := range req.cells {
-		i, c := i, c
-		err := s.pool.Submit(tenant, func() {
-			b, hit, err := s.cells.Get(ctx, cellCacheKey(req.key, req.horizonS, c), func() ([]byte, error) {
-				s.misses.Inc()
-				var opts []gb.Option
-				if req.horizonS > 0 {
-					opts = append(opts, gb.WithHorizon(gb.Seconds(req.horizonS)))
-				}
-				if req.runWorkers > 0 {
-					opts = append(opts, gb.WithRunWorkers(req.runWorkers))
-				}
-				res, err := gb.RunCell(ctx, req.sc, c, opts...)
-				if err != nil {
-					return nil, err
-				}
-				return marshalWire(scenario.Summarize(c, res))
-			})
-			if hit {
-				s.hits.Inc()
+	n := len(req.cells)
+	s.queued.Add(float64(n))
+	ch, err := runner.Each(s.pool, tenant, n, func(i int) (cellOut, error) {
+		s.queued.Add(-1)
+		s.active.Add(1)
+		defer s.active.Add(-1)
+		c := req.cells[i]
+		b, hit, err := s.cells.Get(ctx, cellCacheKey(req.key, req.horizonS, c), func() ([]byte, error) {
+			s.misses.Inc()
+			var opts []gb.Option
+			if req.horizonS > 0 {
+				opts = append(opts, gb.WithHorizon(gb.Seconds(req.horizonS)))
 			}
-			ch <- cellOut{idx: i, bytes: b, hit: hit, err: err}
+			if req.runWorkers > 0 {
+				opts = append(opts, gb.WithRunWorkers(req.runWorkers))
+			}
+			res, err := gb.RunCell(ctx, req.sc, c, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return marshalWire(scenario.Summarize(c, res))
 		})
-		if err != nil {
-			return nil, err
+		if hit {
+			s.hits.Inc()
 		}
-		cellsC.Inc()
+		return cellOut{bytes: b, hit: hit}, err
+	})
+	if err != nil { // runner.ErrClosed: nothing was submitted
+		s.queued.Add(-float64(n))
+		return nil, errDraining
 	}
+	s.col.Counter(metrics.Label("gbd_cells_scheduled_total", "tenant", tenant),
+		"cells", "sweep cells scheduled on the shared pool, by tenant").Add(int64(n))
 	return ch, nil
 }
 
 // collect waits for every scheduled cell and returns the rendered bytes in
 // matrix order. The first cell error cancels the rest and is returned.
-func collect(ctx context.Context, cancel context.CancelFunc, n int, ch <-chan cellOut) ([]json.RawMessage, int, error) {
+func collect(ctx context.Context, cancel context.CancelFunc, n int, ch <-chan runner.Indexed[cellOut]) ([]json.RawMessage, int, error) {
 	out := make([]json.RawMessage, n)
 	hits := 0
 	for received := 0; received < n; received++ {
 		select {
-		case o := <-ch:
-			if o.err != nil {
+		case r := <-ch:
+			if r.Err != nil {
 				cancel()
-				return nil, hits, o.err
+				return nil, hits, r.Err
 			}
-			out[o.idx] = o.bytes
-			if o.hit {
+			out[r.Index] = r.Val.bytes
+			if r.Val.hit {
 				hits++
 			}
 		case <-ctx.Done():
@@ -431,7 +436,7 @@ func wantsSSE(r *http.Request) bool {
 // finished cell in completion order, then a terminal "done" (or "error")
 // event. A client disconnect cancels the remaining cells; the buffered
 // result channel means no worker ever blocks on an abandoned stream.
-func (s *Server) streamSweep(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, req *request, ch <-chan cellOut) {
+func (s *Server) streamSweep(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, req *request, ch <-chan runner.Indexed[cellOut]) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -446,19 +451,19 @@ func (s *Server) streamSweep(ctx context.Context, cancel context.CancelFunc, w h
 	hits := 0
 	for received := 0; received < len(req.cells); received++ {
 		select {
-		case o := <-ch:
-			if o.err != nil {
+		case r := <-ch:
+			if r.Err != nil {
 				cancel()
-				s.countCanceled(o.err)
-				body, _ := marshalWire(ErrorResponse{Status: statusOf(o.err), Error: o.err.Error()})
+				s.countCanceled(r.Err)
+				body, _ := marshalWire(ErrorResponse{Status: statusOf(r.Err), Error: r.Err.Error()})
 				fmt.Fprintf(w, "event: error\ndata: %s\n\n", body)
 				rc.Flush()
 				return
 			}
-			if o.hit {
+			if r.Val.hit {
 				hits++
 			}
-			fmt.Fprintf(w, "event: cell\nid: %d\ndata: %s\n\n", o.idx, o.bytes)
+			fmt.Fprintf(w, "event: cell\nid: %d\ndata: %s\n\n", r.Index, r.Val.bytes)
 			rc.Flush()
 		case <-ctx.Done():
 			s.canceled.Inc()

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // testSpec is a small, fast sweep: 2 scales × 2 modes × 1 rep = 4 cells.
@@ -425,58 +423,6 @@ func TestConcurrentSweepsByteIdentical(t *testing.T) {
 	}
 	if hits := s.counterValue("gbd_cache_hits_total"); hits != clients*4-4 {
 		t.Errorf("gbd_cache_hits_total = %d, want %d", hits, clients*4-4)
-	}
-}
-
-// TestPoolFairness: with one worker and a deep queue from tenant A, a
-// late-arriving tenant B job runs after at most one more A job — round
-// robin at cell granularity, not FIFO across the whole queue.
-func TestPoolFairness(t *testing.T) {
-	col := metrics.New()
-	queued := col.Gauge("q", "cells", "t")
-	active := col.Gauge("a", "cells", "t")
-
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{})
-	record := func(id string) func() {
-		return func() {
-			<-gate
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-		}
-	}
-	p := newPool(1, queued, active)
-	for i := 0; i < 8; i++ {
-		if err := p.Submit("a", record(fmt.Sprintf("a%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Submit("b", record("b0")); err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	p.Close()
-
-	pos := -1
-	for i, id := range order {
-		if id == "b0" {
-			pos = i
-		}
-	}
-	if pos < 0 || pos > 2 {
-		t.Fatalf("tenant b's only job ran at position %d of %v, want within the first 3", pos, order)
-	}
-}
-
-// TestPoolDrainRejects: Submit after Close fails with errDraining.
-func TestPoolDrainRejects(t *testing.T) {
-	col := metrics.New()
-	p := newPool(1, col.Gauge("q", "c", "t"), col.Gauge("a", "c", "t"))
-	p.Close()
-	if err := p.Submit("x", func() {}); err != errDraining {
-		t.Fatalf("Submit after Close = %v, want errDraining", err)
 	}
 }
 

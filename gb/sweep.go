@@ -114,20 +114,31 @@ func Sweep(ctx context.Context, sc *Scenario, opts ...Option) iter.Seq2[Cell, er
 			yield(Cell{}, err)
 			return
 		}
-		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
 		cells := spec.Cells()
-		ch := runner.Each(sctx, cfg.workers, cells, func(c scenario.Cell) (*Result, error) {
-			return spec.RunCell(sctx, c, ins)
-		})
-		// Drain fully on every exit path so no worker blocks on a send.
+		workers := cfg.workers
+		if workers <= 0 {
+			workers = runner.DefaultWorkers()
+		}
+		pool := runner.NewPool(min(workers, len(cells)))
+		sctx, cancel := context.WithCancel(ctx)
+		// Cancel before Close: Close waits for every queued cell, and a
+		// canceled cell returns at once.
 		defer func() {
 			cancel()
-			for range ch {
-			}
+			pool.Close()
 		}()
-		for r := range ch {
+		ch, _ := runner.Each(pool, "", len(cells), func(i int) (*Result, error) { // pool is open: cannot fail
+			if err := sctx.Err(); err != nil {
+				return nil, err
+			}
+			return spec.RunCell(sctx, cells[i], ins)
+		})
+		for range cells {
+			r := <-ch
 			if r.Err != nil {
+				if ctx.Err() != nil {
+					break // reported as ErrCanceled below
+				}
 				yield(Cell{Cell: cells[r.Index]}, r.Err)
 				return
 			}

@@ -85,7 +85,7 @@ func mapRuns[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T
 //
 // Each experiment describes its sweep as a flat slice of runKey values — the
 // cross product of scales × modes × repetitions in row-major order — and
-// hands it to runner.Map, which fans the runs across workers and returns
+// hands it to runner.MapCtx, which fans the runs across workers and returns
 // results in matrix order. Rows are then assembled by walking the scales
 // slice, so tables come out in the same order the old nested loops produced.
 

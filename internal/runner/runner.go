@@ -1,14 +1,16 @@
-// Package runner is the harness's parallel experiment execution engine: a
-// worker-pool scheduler that fans independent simulation runs across
-// GOMAXPROCS goroutines and collects their results in stable input order.
+// Package runner is the one cell scheduler of this repository, plus the
+// singleflight memo shared by the layers above it.
 //
-// Every run in this repository is a deterministic discrete-event simulation
-// seeded from its matrix key (scale, mode, repetition), so runs share no
-// state and their results do not depend on scheduling. The runner exploits
-// that: experiments hand it their run matrix as a flat slice of keys, and
-// Map guarantees results[i] corresponds to keys[i] no matter which worker
-// executed it or in what order workers finished. Parallel output is
-// therefore byte-identical to serial output.
+// Every run here is a deterministic discrete-event simulation seeded from
+// its matrix key (scale, mode, repetition), so cells share no state and
+// their results do not depend on scheduling. Pool is the only worker pool
+// that runs cells: a fixed set of goroutines serving per-tenant FIFO
+// queues round-robin, one job at a time. Each submits a batch of cells to
+// a Pool and streams their results in completion order; MapCtx runs a
+// slice of keys on a private Pool and returns the results in input order,
+// so parallel output is byte-identical to serial output. gbd shares one
+// Pool among its tenants; gb.Sweep, the scenario engine, the harness and
+// tune each get a private one through Each or MapCtx.
 //
 // Memo is the one singleflight memoization table for results shared
 // across runs: the harness's tracing passes and suites, and gbd's cells.
@@ -16,6 +18,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,23 +28,154 @@ import (
 // the process's GOMAXPROCS, i.e. every core the runtime will schedule on.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Map applies fn to every key on up to workers goroutines and returns the
-// results in input order: results[i] is fn(keys[i]). workers <= 0 means
-// DefaultWorkers(); the pool never exceeds len(keys).
-//
-// fn must be safe to call concurrently from multiple goroutines. If any call
-// fails, Map stops handing out new keys, waits for in-flight calls, and
-// returns the error of the lowest-indexed failed key (deterministic even
-// when several keys fail in the same batch) along with a nil slice.
-func Map[K, T any](workers int, keys []K, fn func(K) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, keys, fn)
+// ErrClosed is returned by Submit (and Each) once the pool has been closed.
+var ErrClosed = errors.New("runner: pool closed")
+
+// Pool is a fixed set of worker goroutines draining per-tenant FIFO queues
+// in round-robin order. Workers rotate across tenants one job at a time,
+// so a tenant that submits a thousand-cell sweep delays a one-cell tenant
+// by at most one cell per worker — fairness at cell granularity, without
+// preemption, priorities, or starvation.
+type Pool struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queues map[string][]func()
+	ring   []string // tenants with queued work, round-robin order
+	closed bool
+	wg     sync.WaitGroup
 }
 
-// MapCtx is Map with cancellation: once ctx is done the pool stops handing
-// out new keys, waits for in-flight calls, and returns the context's error
-// (unless a key failed first — a key error at a lower index wins, keeping
-// the error deterministic). fn itself is expected to observe ctx through
-// its closure if its work should stop mid-key.
+// NewPool starts workers goroutines (<= 0: DefaultWorkers()). They run
+// until Close.
+func NewPool(workers int) *Pool {
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	p := &Pool{queues: map[string][]func(){}}
+	p.cond = sync.NewCond(&p.mu)
+	for i := 0; i < workers; i++ {
+		p.wg.Add(1)
+		go p.worker()
+	}
+	return p
+}
+
+// Submit enqueues fns, in order, on tenant's queue: all of them, or none
+// with ErrClosed once Close has begun. Every enqueued fn runs exactly once
+// — jobs whose caller has since given up are expected to notice it
+// through their closure and return at once.
+func (p *Pool) Submit(tenant string, fns ...func()) error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrClosed
+	}
+	if len(fns) == 0 { // a ring entry must have a job
+		p.mu.Unlock()
+		return nil
+	}
+	if _, ok := p.queues[tenant]; !ok {
+		p.ring = append(p.ring, tenant)
+	}
+	p.queues[tenant] = append(p.queues[tenant], fns...)
+	p.mu.Unlock()
+	if len(fns) == 1 {
+		p.cond.Signal()
+	} else {
+		p.cond.Broadcast()
+	}
+	return nil
+}
+
+// pop removes and returns the next job in round-robin order. Caller holds
+// p.mu and guarantees the ring is non-empty.
+func (p *Pool) pop() func() {
+	t := p.ring[0]
+	q := p.queues[t]
+	fn := q[0]
+	if len(q) == 1 {
+		delete(p.queues, t)
+		p.ring = append(p.ring[:0], p.ring[1:]...)
+	} else {
+		p.queues[t] = q[1:]
+		// Rotate in place: the tenant goes to the back so the next
+		// worker serves the next tenant.
+		copy(p.ring, p.ring[1:])
+		p.ring[len(p.ring)-1] = t
+	}
+	return fn
+}
+
+func (p *Pool) worker() {
+	defer p.wg.Done()
+	for {
+		p.mu.Lock()
+		for !p.closed && len(p.ring) == 0 {
+			p.cond.Wait()
+		}
+		if len(p.ring) == 0 { // closed and drained
+			p.mu.Unlock()
+			return
+		}
+		fn := p.pop()
+		p.mu.Unlock()
+		fn()
+	}
+}
+
+// Close stops accepting new work, lets already-queued jobs run (canceled
+// ones are no-ops), and waits for every worker to exit.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.cond.Broadcast()
+	p.wg.Wait()
+}
+
+// Indexed carries one streamed result: the input index it belongs to and
+// either its value or its error.
+type Indexed[T any] struct {
+	Index int
+	Val   T
+	Err   error
+}
+
+// Each submits fn(0) … fn(n-1) to p under tenant, in index order, and
+// returns a channel on which every one of them delivers its result exactly
+// once, in completion order. The channel is buffered to n and never
+// closed: the consumer reads n results, or walks away — no worker ever
+// blocks on a result nobody reads. fn observes cancellation through its
+// closure. An error result does not stop the others; the consumer decides
+// whether to cancel. Each fails only with ErrClosed, having submitted
+// nothing.
+func Each[T any](p *Pool, tenant string, n int, fn func(i int) (T, error)) (<-chan Indexed[T], error) {
+	out := make(chan Indexed[T], n)
+	jobs := make([]func(), n)
+	for i := range jobs {
+		jobs[i] = func() {
+			v, err := fn(i)
+			out <- Indexed[T]{Index: i, Val: v, Err: err}
+		}
+	}
+	if err := p.Submit(tenant, jobs...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MapCtx applies fn to every key on up to workers goroutines and returns
+// the results in input order: results[i] is fn(keys[i]), whichever worker
+// ran it. workers <= 0 means DefaultWorkers(); the pool never exceeds
+// len(keys). fn must be safe to call concurrently.
+//
+// If any call fails, keys after it are not started, every key before it
+// runs, and MapCtx returns the error of the lowest-indexed failed key
+// (deterministic even when several keys fail at once) and a nil slice.
+// Once ctx is done no further key starts, and MapCtx returns the
+// context's error — unless a key failed, whose error wins. fn itself is
+// expected to observe ctx through its closure if its work should stop
+// mid-key.
 func MapCtx[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, error)) ([]T, error) {
 	n := len(keys)
 	if n == 0 {
@@ -50,12 +184,9 @@ func MapCtx[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T,
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	results := make([]T, n)
+	if workers == 1 || n == 1 {
 		// Serial fast path: no goroutines, errors abort immediately.
-		results := make([]T, n)
 		for i, k := range keys {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -69,117 +200,46 @@ func MapCtx[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T,
 		return results, nil
 	}
 
-	results := make([]T, n)
-	var (
-		next    atomic.Int64 // next key index to claim
-		failed  atomic.Bool  // stops new claims after the first error
-		errMu   sync.Mutex
-		errIdx  = n // lowest failed index seen so far
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Check for failure before claiming: indexes are
-				// claimed in order and a claimed index always runs,
-				// so every key below a failed key executes and the
-				// lowest-indexed error is always observed.
-				if failed.Load() || ctx.Err() != nil {
-					return
+	p := NewPool(min(workers, n))
+	defer p.Close()
+	// failed is the lowest failed index so far (n: none). A key above it
+	// is skipped; a key below it still runs, since it may fail lower.
+	var failed atomic.Int64
+	failed.Store(int64(n))
+	ch, _ := Each(p, "", n, func(i int) (T, error) { // p is open: cannot fail
+		var v T
+		if ctx.Err() != nil || int64(i) > failed.Load() {
+			return v, nil // skipped: MapCtx returns an error, not v
+		}
+		v, err := fn(keys[i])
+		if err != nil {
+			for f := failed.Load(); int64(i) < f; f = failed.Load() {
+				if failed.CompareAndSwap(f, int64(i)) {
+					break
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				v, err := fn(keys[i])
-				if err != nil {
-					failed.Store(true)
-					errMu.Lock()
-					if i < errIdx {
-						errIdx, firstEr = i, err
-					}
-					errMu.Unlock()
-					return
-				}
-				results[i] = v
 			}
-		}()
+		}
+		return v, err
+	})
+	var firstErr error
+	errIdx := n
+	for range n {
+		r := <-ch
+		if r.Err != nil {
+			if r.Index < errIdx {
+				errIdx, firstErr = r.Index, r.Err
+			}
+			continue
+		}
+		results[r.Index] = r.Val
 	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
-}
-
-// Indexed carries one streamed result: the input index it belongs to and
-// either its value or its error.
-type Indexed[T any] struct {
-	Index int
-	Val   T
-	Err   error
-}
-
-// Each applies fn to every key on up to workers goroutines and delivers
-// results on the returned channel in completion order — the streaming
-// counterpart to Map, for consumers that want cells as they finish rather
-// than a barrier at the end. The channel closes once every claimed key has
-// been delivered or dropped.
-//
-// Cancellation contract: when ctx is done, workers stop claiming new keys
-// and stop delivering (an undeliverable in-flight result is dropped), so a
-// consumer that cancels and then drains the channel never leaks a
-// goroutine. Unlike Map, an error result does not stop the pool — the
-// consumer decides whether to cancel.
-func Each[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, error)) <-chan Indexed[T] {
-	n := len(keys)
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make(chan Indexed[T])
-	if n == 0 {
-		close(out)
-		return out
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				v, err := fn(keys[i])
-				select {
-				case out <- Indexed[T]{Index: i, Val: v, Err: err}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
 }
 
 // Memo is a concurrency-safe singleflight memoization table keyed by

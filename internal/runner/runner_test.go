@@ -19,7 +19,7 @@ func TestMapOrder(t *testing.T) {
 		keys[i] = i
 	}
 	for _, workers := range []int{0, 1, 3, 8, 200} {
-		got, err := Map(workers, keys, func(k int) (int, error) {
+		got, err := MapCtx(context.Background(), workers, keys, func(k int) (int, error) {
 			// Reverse-skewed delay: late keys finish first under
 			// parallelism, stressing the ordering guarantee.
 			time.Sleep(time.Duration(100-k) * time.Microsecond)
@@ -40,9 +40,9 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, nil, func(int) (int, error) { return 0, nil })
+	got, err := MapCtx(context.Background(), 4, nil, func(int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
-		t.Fatalf("Map(empty) = %v, %v; want nil, nil", got, err)
+		t.Fatalf("MapCtx(context.Background(), empty) = %v, %v; want nil, nil", got, err)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestMapBoundsWorkers(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
 	keys := make([]int, 64)
-	_, err := Map(workers, keys, func(int) (int, error) {
+	_, err := MapCtx(context.Background(), workers, keys, func(int) (int, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -72,7 +72,7 @@ func TestMapBoundsWorkers(t *testing.T) {
 	}
 }
 
-// TestMapErrorDeterministic: with many failing keys, Map must report the
+// TestMapErrorDeterministic: with many failing keys, MapCtx must report the
 // lowest-indexed error that actually ran, and with a full failure set that
 // is always key 0's error.
 func TestMapErrorDeterministic(t *testing.T) {
@@ -81,7 +81,7 @@ func TestMapErrorDeterministic(t *testing.T) {
 		keys[i] = i
 	}
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(8, keys, func(k int) (int, error) {
+		_, err := MapCtx(context.Background(), 8, keys, func(k int) (int, error) {
 			return 0, fmt.Errorf("key %d failed", k)
 		})
 		if err == nil {
@@ -102,7 +102,7 @@ func TestMapErrorStopsScheduling(t *testing.T) {
 	for i := range keys {
 		keys[i] = i
 	}
-	_, err := Map(2, keys, func(k int) (int, error) {
+	_, err := MapCtx(context.Background(), 2, keys, func(k int) (int, error) {
 		started.Add(1)
 		if k == 0 {
 			return 0, boom
@@ -127,7 +127,7 @@ func TestMapErrorLowestIndexAmongMixed(t *testing.T) {
 		keys[i] = i
 	}
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(8, keys, func(k int) (int, error) {
+		_, err := MapCtx(context.Background(), 8, keys, func(k int) (int, error) {
 			switch {
 			case k == 40:
 				// Fails instantly, long before key 17 below.
@@ -394,7 +394,7 @@ func TestMapCtxCancelMidway(t *testing.T) {
 
 func TestMapCtxKeyErrorBeatsCancel(t *testing.T) {
 	// A key failure and a cancellation in the same batch: the key error
-	// wins (deterministic, matches Map's lowest-index rule).
+	// wins (deterministic, matches the lowest-index rule).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
@@ -411,9 +411,16 @@ func TestMapCtxKeyErrorBeatsCancel(t *testing.T) {
 }
 
 func TestEachStreamsAllResults(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
 	keys := []int{10, 20, 30, 40, 50}
+	ch, err := Each(p, "t", len(keys), func(i int) (int, error) { return keys[i] * 2, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[int]int{}
-	for r := range Each(context.Background(), 3, keys, func(k int) (int, error) { return k * 2, nil }) {
+	for range keys {
+		r := <-ch
 		if r.Err != nil {
 			t.Fatalf("key %d: %v", r.Index, r.Err)
 		}
@@ -430,15 +437,21 @@ func TestEachStreamsAllResults(t *testing.T) {
 }
 
 func TestEachErrorsDoNotStopPool(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
 	boom := errors.New("boom")
-	var oks, errs int
-	for r := range Each(context.Background(), 2, []int{0, 1, 2, 3}, func(k int) (int, error) {
-		if k%2 == 0 {
+	ch, err := Each(p, "t", 4, func(i int) (int, error) {
+		if i%2 == 0 {
 			return 0, boom
 		}
-		return k, nil
-	}) {
-		if r.Err != nil {
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oks, errs int
+	for range 4 {
+		if r := <-ch; r.Err != nil {
 			errs++
 		} else {
 			oks++
@@ -449,17 +462,26 @@ func TestEachErrorsDoNotStopPool(t *testing.T) {
 	}
 }
 
+// TestEachCancelAndDrainDoesNotLeak: a consumer that reads one result,
+// cancels and abandons the channel unread strands no worker — Close
+// returns once the canceled jobs have run, and no goroutine is left.
 func TestEachCancelAndDrainDoesNotLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		keys := make([]int, 100)
-		ch := Each(ctx, 4, keys, func(k int) (int, error) { return k, nil })
-		// Read one result, cancel, drain.
+		p := NewPool(4)
+		ch, err := Each(p, "t", 100, func(k int) (int, error) {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			return k, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		<-ch
 		cancel()
-		for range ch {
-		}
+		p.Close()
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -467,6 +489,57 @@ func TestEachCancelAndDrainDoesNotLeak(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestPoolFairness: with one worker and a deep queue from tenant A, a
+// late-arriving tenant B job runs after at most one more A job — round
+// robin at cell granularity, not FIFO across the whole queue.
+func TestPoolFairness(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	gate := make(chan struct{})
+	record := func(id string) func() {
+		return func() {
+			<-gate
+			mu.Lock()
+			order = append(order, id)
+			mu.Unlock()
+		}
+	}
+	p := NewPool(1)
+	for i := 0; i < 8; i++ {
+		if err := p.Submit("a", record(fmt.Sprintf("a%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Submit("b", record("b0")); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	p.Close()
+
+	pos := -1
+	for i, id := range order {
+		if id == "b0" {
+			pos = i
+		}
+	}
+	if pos < 0 || pos > 2 {
+		t.Fatalf("tenant b's only job ran at position %d of %v, want within the first 3", pos, order)
+	}
+}
+
+// TestPoolDrainRejects: Submit and Each after Close fail with ErrClosed
+// and run nothing.
+func TestPoolDrainRejects(t *testing.T) {
+	p := NewPool(1)
+	p.Close()
+	if err := p.Submit("x", func() { t.Error("job ran after Close") }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	}
+	if _, err := Each(p, "x", 3, func(int) (int, error) { t.Error("job ran after Close"); return 0, nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Each after Close = %v, want ErrClosed", err)
 	}
 }
 
