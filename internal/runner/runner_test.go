@@ -149,6 +149,27 @@ func TestMapErrorLowestIndexAmongMixed(t *testing.T) {
 	}
 }
 
+// TestMapErrorLowerFailsFirst: a lower key whose error arrives before a
+// higher in-flight key's error still wins — the order results reach
+// MapCtx does not pick the error.
+func TestMapErrorLowerFailsFirst(t *testing.T) {
+	oneStarted, zeroFailing := make(chan struct{}), make(chan struct{})
+	_, err := MapCtx(context.Background(), 2, []int{0, 1}, func(k int) (int, error) {
+		if k == 0 {
+			<-oneStarted
+			close(zeroFailing)
+			return 0, errors.New("key 0 failed")
+		}
+		close(oneStarted)
+		<-zeroFailing
+		time.Sleep(time.Millisecond)
+		return 0, errors.New("key 1 failed")
+	})
+	if err == nil || err.Error() != "key 0 failed" {
+		t.Fatalf("got %v, want %q", err, "key 0 failed")
+	}
+}
+
 // TestMemoSingleBuild: concurrent Gets of one key must run the build exactly
 // once and share the value; distinct keys build independently.
 func TestMemoSingleBuild(t *testing.T) {
