@@ -42,7 +42,7 @@ func TestMapOrder(t *testing.T) {
 func TestMapEmpty(t *testing.T) {
 	got, err := MapCtx(context.Background(), 4, nil, func(int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
-		t.Fatalf("MapCtx(context.Background(), empty) = %v, %v; want nil, nil", got, err)
+		t.Fatalf("MapCtx(empty) = %v, %v; want nil, nil", got, err)
 	}
 }
 
